@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptsbe_math::gates;
-use ptsbe_statevector::{KernelImpl, StateBatch, StateVector};
+use ptsbe_statevector::{StateBatch, StateVector};
 use std::hint::black_box;
 
 fn bench_gates(c: &mut Criterion) {
@@ -89,50 +89,24 @@ fn bench_batch_vs_per_state(c: &mut Criterion) {
         let mut batch = StateBatch::<f64>::zero_states(n, b);
         bch.iter(|| batch.apply_cx(black_box(2), 7));
     });
+    group.bench_function("per_state_norm_sqr", |bch| {
+        let mut svs: Vec<StateVector<f64>> = (0..b).map(|_| StateVector::zero_state(n)).collect();
+        svs.iter_mut().for_each(|s| s.apply_1q(&h, 4));
+        let mut out = vec![0.0f64; b];
+        bch.iter(|| {
+            for (o, s) in out.iter_mut().zip(&svs) {
+                *o = black_box(s).norm_sqr();
+            }
+        });
+    });
+    group.bench_function("batch_norm_sqr", |bch| {
+        let mut batch = StateBatch::<f64>::zero_states(n, b);
+        batch.apply_1q(&h, 4);
+        let mut out = vec![0.0f64; b];
+        bch.iter(|| batch.norm_sqr_lanes(black_box(&mut out)));
+    });
     group.finish();
 }
 
-/// The same batch sweeps under each dispatch impl — scalar-reference
-/// (per-lane Complex arithmetic, the old AoS-equivalent path) vs. the
-/// SoA autovec wide loops vs. the hand-vectorized SoA kernels. All
-/// three are bitwise identical; this group is the per-kernel-class
-/// speedup ledger behind that free choice.
-fn bench_kernel_dispatch(c: &mut Criterion) {
-    let n = 10;
-    let b = 8;
-    let mut group = c.benchmark_group("kernel_dispatch_n10x8");
-    group.sample_size(20);
-
-    let h = gates::h::<f64>();
-    let cx_mat = gates::cx::<f64>();
-    for kernels in [KernelImpl::Scalar, KernelImpl::Soa, KernelImpl::Simd] {
-        let tag = kernels.label();
-        group.bench_function(format!("{tag}_1q"), |bch| {
-            let mut batch = StateBatch::<f64>::zero_states_with(n, b, kernels);
-            bch.iter(|| batch.apply_1q(black_box(&h), 4));
-        });
-        group.bench_function(format!("{tag}_2q_dense"), |bch| {
-            let mut batch = StateBatch::<f64>::zero_states_with(n, b, kernels);
-            bch.iter(|| batch.apply_2q(black_box(&cx_mat), 2, 7));
-        });
-        group.bench_function(format!("{tag}_cx"), |bch| {
-            let mut batch = StateBatch::<f64>::zero_states_with(n, b, kernels);
-            bch.iter(|| batch.apply_cx(black_box(2), 7));
-        });
-        group.bench_function(format!("{tag}_norm_sqr"), |bch| {
-            let mut batch = StateBatch::<f64>::zero_states_with(n, b, kernels);
-            batch.apply_1q(&h, 4);
-            let mut out = vec![0.0f64; b];
-            bch.iter(|| batch.norm_sqr_lanes(black_box(&mut out)));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_gates,
-    bench_batch_vs_per_state,
-    bench_kernel_dispatch
-);
+criterion_group!(benches, bench_gates, bench_batch_vs_per_state);
 criterion_main!(benches);

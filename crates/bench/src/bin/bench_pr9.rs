@@ -35,10 +35,10 @@
 //!    coverage of the measured wall.
 //!
 //! Engines covered: frame, sv-tree, sv-batch-major, mps-tree — the
-//! same frame/statevector workloads as `bench_pr6` (apples-to-apples
-//! across the PR trajectory), with the MPS engine forced onto the
-//! statevector workload (default `MpsConfig` is cap-driven: no budget
-//! probe, no refusal).
+//! same frame/statevector workloads as the committed service snapshots
+//! before it (apples-to-apples across the history), with the MPS engine
+//! forced onto the statevector workload (default `MpsConfig` is
+//! cap-driven: no budget probe, no refusal).
 //!
 //! Knobs: `PTSBE_PR9_QUBITS`, `PTSBE_PR9_DEPTH`, `PTSBE_PR9_TRAJ`,
 //! `PTSBE_PR9_SHOTS`, `PTSBE_PR9_FRAME_SHOTS`, `PTSBE_PR9_WARM_REPS`,
@@ -187,7 +187,7 @@ fn main() {
     let baseline_path = std::env::var("PTSBE_PR9_BASELINE")
         .unwrap_or_else(|_| "target/BENCH_pr9_baseline.json".to_string());
 
-    // Workloads identical to bench_pr6.
+    // Workloads identical to the earlier committed service snapshots.
     let mut c = Circuit::new(n);
     for layer in 0..depth {
         for q in 0..n - 1 {

@@ -10,7 +10,7 @@
 //! JSON headers keep it self-describing.
 
 use crate::record::{DatasetHeader, TrajectoryRecord};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use ptsbe_core::assignment::TrajectoryMeta;
 use std::io;
 
@@ -59,48 +59,20 @@ pub fn encode(header: &DatasetHeader, records: &[TrajectoryRecord]) -> io::Resul
     Ok(buf.freeze())
 }
 
-/// Parse a dataset encoded by [`encode`].
+/// Parse a dataset encoded by [`encode`]: [`decode_prefix`], with the
+/// valid prefix required to be the whole input.
 ///
 /// # Errors
-/// Returns `InvalidData` on magic/version/structure mismatches.
-pub fn decode(mut data: Bytes) -> io::Result<(DatasetHeader, Vec<TrajectoryRecord>)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if data.remaining() < 12 {
-        return Err(bad("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(bad("bad magic"));
-    }
-    let version = data.get_u32_le();
-    if version != VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let hlen = data.get_u32_le() as usize;
-    if data.remaining() < hlen {
-        return Err(bad("truncated dataset header"));
-    }
-    let header: DatasetHeader = serde_json::from_slice(&data.split_to(hlen))?;
-    let mut records = Vec::new();
-    while data.has_remaining() {
-        if data.remaining() < 4 {
-            return Err(bad("truncated record header"));
-        }
-        let mlen = data.get_u32_le() as usize;
-        if data.remaining() < mlen + 8 {
-            return Err(bad("truncated record meta"));
-        }
-        let meta: TrajectoryMeta = serde_json::from_slice(&data.split_to(mlen))?;
-        let n_shots = data.get_u64_le() as usize;
-        if data.remaining() < n_shots * 16 {
-            return Err(bad("truncated shots"));
-        }
-        let mut shots = Vec::with_capacity(n_shots);
-        for _ in 0..n_shots {
-            shots.push(crate::record::hex_u128(data.get_u128_le()));
-        }
-        records.push(TrajectoryRecord { meta, shots });
+/// Returns `InvalidData` on magic/version/structure mismatches,
+/// including a truncated or oversized final frame.
+pub fn decode(data: Bytes) -> io::Result<(DatasetHeader, Vec<TrajectoryRecord>)> {
+    let len = data.len();
+    let (header, records, prefix_len) = decode_prefix(data)?;
+    if prefix_len != len {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("truncated record frame at byte {prefix_len} of {len}"),
+        ));
     }
     Ok((header, records))
 }
@@ -164,7 +136,7 @@ pub fn decode_prefix(data: Bytes) -> io::Result<(DatasetHeader, Vec<TrajectoryRe
         let mut shots = Vec::with_capacity(n_shots);
         for _ in 0..n_shots {
             let word = u128::from_le_bytes(buf[at..at + 16].try_into().expect("16 bytes"));
-            shots.push(format!("{word:x}"));
+            shots.push(crate::record::hex_u128(word));
             at += 16;
         }
         records.push(TrajectoryRecord { meta, shots });
@@ -222,6 +194,21 @@ mod tests {
         let bytes = encode(&header, &records).unwrap();
         let truncated = bytes.slice(0..bytes.len() - 5);
         assert!(decode(truncated).is_err());
+    }
+
+    /// A frame whose shot count would overflow `n_shots * 16` is refused
+    /// before anything is reserved for it.
+    #[test]
+    fn oversized_shot_count_rejected_without_panic() {
+        let (header, _) = sample();
+        let mut bytes = encode(&header, &[]).unwrap().to_vec();
+        let meta = serde_json::to_vec(&sample().1[0].meta).unwrap();
+        bytes.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&meta);
+        bytes.extend_from_slice(&(u64::MAX / 8).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        let result = std::panic::catch_unwind(|| decode(Bytes::from(bytes)));
+        assert!(result.expect("decode must not panic").is_err());
     }
 
     #[test]

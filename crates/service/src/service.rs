@@ -68,7 +68,10 @@ use crate::fault::{FaultConfig, FaultSink, InjectedFault};
 use crate::job::{ChunkSpec, JobHandle, JobInner, JobSpec, JobStatus, ServiceError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::router::{degrade_route, route_job, EngineExec, EngineKind, RouteDecision};
-use ptsbe_core::{BatchConfig, BatchMajorExecutor, BatchResult, BatchedExecutor, TreeExecutor};
+use ptsbe_core::{
+    Backend, BatchConfig, BatchMajorExecutor, BatchResult, BatchedExecutor, PtsPlanTree, StatePool,
+    TreeExecutor,
+};
 use ptsbe_dataset::record::records_from_batch;
 use ptsbe_dataset::{DatasetHeader, RecordSink, TrajectoryRecord};
 use ptsbe_math::Scalar;
@@ -425,6 +428,14 @@ impl<T: Scalar> Drop for ShotService<T> {
 }
 
 fn validate(spec: &JobSpec) -> Result<(), ServiceError> {
+    // Every engine packs a shot into one u128 record word; wider
+    // records would silently drop bits.
+    let n_measured = spec.circuit.measured_qubits().len();
+    if n_measured > 128 {
+        return Err(ServiceError::InvalidJob(format!(
+            "{n_measured} measured bits exceed the 128-bit shot record"
+        )));
+    }
     let sites = spec.circuit.sites();
     for (i, t) in spec.plan.trajectories.iter().enumerate() {
         if t.choices.len() != sites.len() {
@@ -1048,36 +1059,31 @@ fn execute_chunk<T: Scalar>(
             to_records(ex.execute_slice(&entry.backend, &spec.circuit, &spec.plan, range.clone()))
         }
         (EngineExec::Tree { entry, tree }, ChunkSpec::Whole) => {
-            let ex = TreeExecutor {
-                seed: spec.seed,
-                parallel,
-            };
-            to_records(ex.execute_tree_pooled(
-                &entry.backend,
-                &spec.circuit,
-                &spec.plan,
-                tree,
-                &entry.pool,
-            ))
+            tree_records(spec, parallel, &entry.backend, tree, &entry.pool)
         }
         (EngineExec::MpsTree { entry, tree }, ChunkSpec::Whole) => {
-            let ex = TreeExecutor {
-                seed: spec.seed,
-                parallel,
-            };
-            to_records(ex.execute_tree_pooled(
-                &entry.backend,
-                &spec.circuit,
-                &spec.plan,
-                tree,
-                &entry.pool,
-            ))
+            tree_records(spec, parallel, &entry.backend, tree, &entry.pool)
         }
         _ => {
             return Err("internal: chunk shape does not match the routed engine".to_string());
         }
     };
     Ok(records)
+}
+
+/// Walk the whole plan tree on `backend`, forking from its warm pool.
+fn tree_records<B: Backend>(
+    spec: &JobSpec,
+    parallel: bool,
+    backend: &B,
+    tree: &PtsPlanTree,
+    pool: &StatePool<B::State>,
+) -> Vec<TrajectoryRecord> {
+    let ex = TreeExecutor {
+        seed: spec.seed,
+        parallel,
+    };
+    to_records(ex.execute_tree_pooled(backend, &spec.circuit, &spec.plan, tree, pool))
 }
 
 fn to_records(batch: BatchResult) -> Vec<TrajectoryRecord> {

@@ -332,46 +332,99 @@ fn forced_mps_with_binding_cap_raises_instead_of_refusing() {
 // ---------------------------------------------------------------------------
 // Cache warmth
 
+/// Every auto-routed engine serves a repeated job entirely from the
+/// artifact cache: the warm repeat is routed like the cold run, does
+/// zero compile or plan work, and delivers identical bytes.
 #[test]
 fn warm_repeat_job_does_zero_compile_or_plan_work() {
-    let nc = Arc::new(t_circuit(0.01));
-    let plan = Arc::new(plan_for(&nc, 40, 25, true, 16));
-    let service: ShotService = ShotService::start(one_worker());
+    let wide = ServiceConfig {
+        workers: 1,
+        mps_qubit_threshold: 2, // force the wide-register branch
+        ..ServiceConfig::default()
+    };
+    let cases = [
+        (
+            t_circuit(0.01),
+            (40, 25, true, 16),
+            one_worker(),
+            EngineKind::BatchMajor,
+        ),
+        (
+            parity_circuit(0.05),
+            (10, 100, true, 11),
+            one_worker(),
+            EngineKind::Frame,
+        ),
+        (
+            t_circuit(0.005),
+            (60, 10, false, 13),
+            one_worker(),
+            EngineKind::Tree,
+        ),
+        (
+            bell_circuit(0.02),
+            (10, 5, true, 15),
+            wide,
+            EngineKind::MpsTree,
+        ),
+    ];
+    for (nc, (n, shots, dedup, seed), config, expect) in cases {
+        let plan = Arc::new(plan_for(&nc, n, shots, dedup, seed));
+        let nc = Arc::new(nc);
+        let service: ShotService = ShotService::start(config);
 
-    let spec = JobSpec::new("warmth", Arc::clone(&nc), Arc::clone(&plan), 5);
-    let cold_buf = SharedBuffer::new();
-    let h = service
-        .submit(spec.clone(), Box::new(JsonlSink::new(cold_buf.clone())))
-        .unwrap();
-    assert!(h.wait().status.is_success());
-    let cold = service.cache_stats();
-    assert!(cold.compile_misses() > 0, "cold run must compile");
-    assert!(cold.tree_misses > 0, "cold run must build the plan tree");
+        let spec = JobSpec::new("warmth", Arc::clone(&nc), Arc::clone(&plan), 5);
+        let cold_buf = SharedBuffer::new();
+        let h = service
+            .submit(spec.clone(), Box::new(JsonlSink::new(cold_buf.clone())))
+            .unwrap();
+        let cold_report = h.wait();
+        assert!(cold_report.status.is_success(), "{cold_report:?}");
+        assert_eq!(
+            cold_report.engine,
+            Some(expect),
+            "{}",
+            cold_report.route_reason
+        );
+        let label = expect.label();
+        // The frame engine samples shots directly: it has no plan tree.
+        let plans_tree = expect != EngineKind::Frame;
+        let cold = service.cache_stats();
+        assert!(cold.compile_misses() > 0, "{label}: cold run must compile");
+        assert_eq!(
+            cold.tree_misses > 0,
+            plans_tree,
+            "{label}: cold run must build the plan tree"
+        );
 
-    let warm_buf = SharedBuffer::new();
-    let h = service
-        .submit(spec, Box::new(JsonlSink::new(warm_buf.clone())))
-        .unwrap();
-    assert!(h.wait().status.is_success());
-    let warm = service.cache_stats();
-    assert_eq!(
-        warm.compile_misses(),
-        cold.compile_misses(),
-        "warm repeat must not compile"
-    );
-    assert_eq!(
-        warm.tree_misses, cold.tree_misses,
-        "warm repeat must not rebuild the plan tree"
-    );
-    assert!(
-        warm.compile_hits() > cold.compile_hits() && warm.tree_hits > cold.tree_hits,
-        "warm repeat must hit: {warm:?} vs {cold:?}"
-    );
-    assert_eq!(
-        cold_buf.bytes(),
-        warm_buf.bytes(),
-        "cache state must not change output bytes"
-    );
+        let warm_buf = SharedBuffer::new();
+        let h = service
+            .submit(spec, Box::new(JsonlSink::new(warm_buf.clone())))
+            .unwrap();
+        let warm_report = h.wait();
+        assert!(warm_report.status.is_success(), "{warm_report:?}");
+        assert_eq!(warm_report.engine, cold_report.engine, "{label}: rerouted");
+        let warm = service.cache_stats();
+        assert_eq!(
+            warm.compile_misses(),
+            cold.compile_misses(),
+            "{label}: warm repeat must not compile"
+        );
+        assert_eq!(
+            warm.tree_misses, cold.tree_misses,
+            "{label}: warm repeat must not rebuild the plan tree"
+        );
+        assert!(
+            warm.compile_hits() > cold.compile_hits()
+                && (warm.tree_hits > cold.tree_hits) == plans_tree,
+            "{label}: warm repeat must hit: {warm:?} vs {cold:?}"
+        );
+        assert_eq!(
+            cold_buf.bytes(),
+            warm_buf.bytes(),
+            "{label}: cache state must not change output bytes"
+        );
+    }
 }
 
 /// A byte-budgeted cache must evict cold artifacts under pressure, and
@@ -723,6 +776,29 @@ fn invalid_plan_rejected_at_submit() {
     match err {
         ServiceError::InvalidJob(msg) => assert!(msg.contains("branch 99"), "{msg}"),
         other => panic!("expected InvalidJob, got {other:?}"),
+    }
+
+    // Records wider than 128 bits: refused on every engine instead of
+    // delivered with the high bits wrapped onto the low ones.
+    let mut c = Circuit::new(132);
+    c.x(130).measure_all();
+    let wide = NoiseModel::new().apply(&c);
+    let plan = plan_for(&wide, 1, 5, true, 92);
+    let policies = [
+        EnginePolicy::Auto,
+        EnginePolicy::Force(EngineKind::Frame),
+        EnginePolicy::Force(EngineKind::Tree),
+        EnginePolicy::Force(EngineKind::BatchMajor),
+        EnginePolicy::Force(EngineKind::Flat),
+        EnginePolicy::Force(EngineKind::MpsTree),
+    ];
+    for policy in policies {
+        let spec = JobSpec::new("too-wide", wide.clone(), plan.clone(), 1).with_engine(policy);
+        let (sink, _) = MemorySink::new();
+        match service.submit(spec, Box::new(sink)).unwrap_err() {
+            ServiceError::InvalidJob(msg) => assert!(msg.contains("132 measured bits"), "{msg}"),
+            other => panic!("{policy:?}: expected InvalidJob, got {other:?}"),
+        }
     }
 }
 

@@ -9,16 +9,13 @@
 //! processes all `B` lanes of each pair in contiguous inner loops over
 //! the two planes. The split layout is what qsim-style simulators use to
 //! saturate FMA units: complex arithmetic over split planes is pure
-//! mul/`mul_add` chains with no re/im shuffles, so the compiler (or the
-//! explicit AVX2 path) lowers it straight to packed FMA.
+//! mul/`mul_add` chains with no re/im shuffles, so the compiler lowers it
+//! straight to packed FMA.
 //!
-//! The *arithmetic* for each contiguous run lives behind the
-//! [`crate::kernels::BatchKernels`] dispatch trait (scalar-reference /
-//! SoA-autovec / SoA-simd, chosen at construction, forced via
-//! `PTSBE_BATCH_KERNELS`); this module owns the *geometry* — which runs
-//! of the planes a gate touches, chunking, and the rayon fan-out. A
-//! GPU/accelerator backend can slot in as another `BatchKernels`
-//! implementation without touching [`advance_batch`] or the executors.
+//! This module owns the *geometry* — which runs of the planes a gate
+//! touches, chunking, and the rayon fan-out; the arithmetic for each
+//! contiguous run is the SoA loops of [`crate::kernels`] and
+//! [`ptsbe_math::vec_ops`].
 //!
 //! Bitwise contract: every kernel routes its per-lane arithmetic through
 //! the same parts-level helpers ([`ptsbe_math::cplx_mul_parts`] /
@@ -27,16 +24,16 @@
 //! and the same 4096-amplitude block grouping for norm accumulation. A
 //! lane of a [`StateBatch`] advanced through [`advance_batch`] is
 //! therefore bit-identical to a [`StateVector`] advanced through
-//! [`crate::exec::advance`] under the same assignment — for *all three*
-//! kernel implementations — the property `tests/batch_pool_equivalence`
-//! and `tests/proptest_batch_kernels` enforce end-to-end.
+//! [`crate::exec::advance`] under the same assignment — the property
+//! `tests/batch_pool_equivalence` and `tests/proptest_batch_kernels`
+//! enforce end-to-end.
 
-use ptsbe_math::{cplx_mul_parts, Complex, Matrix, Scalar};
+use ptsbe_math::{cplx_mul_parts, vec_ops, Complex, Matrix, Scalar};
 use rayon::prelude::*;
 use std::ops::Range;
 
 use crate::exec::{Compiled, CompiledOp};
-use crate::kernels::{dispatch, BatchKernels, KernelImpl, LaneMats2, LaneMats4};
+use crate::kernels::{self, LaneMats2, LaneMats4};
 use crate::kraus::apply_kraus_normalized;
 use crate::state::{local_2q_matrix, local_2q_perm, StateVector};
 use crate::PARALLEL_THRESHOLD_QUBITS;
@@ -56,34 +53,21 @@ pub struct StateBatch<T: Scalar> {
     /// Whether sweeps fan out over rayon, decided once at construction —
     /// `current_num_threads()` costs a syscall, far too hot for per-op.
     use_par: bool,
-    /// Which kernel implementation processes runs (resolved, never a
-    /// SIMD request on a machine that can't run it).
-    kernels: KernelImpl,
 }
 
 impl<T: Scalar> StateBatch<T> {
-    /// `B` copies of `|0…0⟩` with the default kernel implementation
-    /// ([`KernelImpl::auto`]: `PTSBE_BATCH_KERNELS` when set, else SIMD
-    /// where supported).
+    /// `B` copies of `|0…0⟩`.
     ///
     /// # Panics
     /// Panics on zero lanes or more than 48 qubits (same guard as
     /// [`StateVector::zero_state`]).
     pub fn zero_states(n_qubits: usize, n_lanes: usize) -> Self {
-        Self::zero_states_with(n_qubits, n_lanes, KernelImpl::auto())
-    }
-
-    /// [`StateBatch::zero_states`] with an explicit kernel
-    /// implementation (downgraded via [`KernelImpl::resolve`] when the
-    /// machine can't run it).
-    pub fn zero_states_with(n_qubits: usize, n_lanes: usize, kernels: KernelImpl) -> Self {
         let mut batch = Self {
             n_qubits: 0,
             n_lanes: 0,
             re: Vec::new(),
             im: Vec::new(),
             use_par: false,
-            kernels: kernels.resolve(),
         };
         batch.reinit(n_qubits, n_lanes);
         batch
@@ -122,11 +106,6 @@ impl<T: Scalar> StateBatch<T> {
     /// Number of lanes (trajectory states).
     pub fn n_lanes(&self) -> usize {
         self.n_lanes
-    }
-
-    /// Which kernel implementation this batch dispatches to.
-    pub fn kernel_impl(&self) -> KernelImpl {
-        self.kernels
     }
 
     /// The raw split planes `(re, im)`, both indexed
@@ -170,12 +149,6 @@ impl<T: Scalar> StateBatch<T> {
             self.re[j] = s.re;
             self.im[j] = s.im;
         }
-    }
-
-    /// The resolved run-kernel implementation.
-    #[inline]
-    fn kern(&self) -> &'static dyn BatchKernels<T> {
-        dispatch(self.kernels)
     }
 
     // ----- sweep drivers ------------------------------------------------
@@ -250,11 +223,10 @@ impl<T: Scalar> StateBatch<T> {
         let er = e.map(|z| z.re);
         let ei = e.map(|z| z.im);
         let half = (1usize << q) * self.n_lanes;
-        let kern = self.kern();
         self.for_chunks(2 * half, move |re, im| {
             let (lo_re, hi_re) = re.split_at_mut(half);
             let (lo_im, hi_im) = im.split_at_mut(half);
-            kern.mat2_run(&er, &ei, (lo_re, lo_im), (hi_re, hi_im));
+            vec_ops::mat2_planes(&er, &ei, lo_re, lo_im, hi_re, hi_im);
         });
     }
 
@@ -269,11 +241,10 @@ impl<T: Scalar> StateBatch<T> {
         let lm = LaneMats2::from_entries(es);
         let skip: Option<Vec<bool>> = skip.map(<[bool]>::to_vec);
         let half = (1usize << q) * self.n_lanes;
-        let kern = self.kern();
         self.for_chunks(2 * half, move |re, im| {
             let (lo_re, hi_re) = re.split_at_mut(half);
             let (lo_im, hi_im) = im.split_at_mut(half);
-            kern.mat2_lanes_run(&lm, skip.as_deref(), (lo_re, lo_im), (hi_re, hi_im));
+            kernels::mat2_lanes_run(&lm, skip.as_deref(), (lo_re, lo_im), (hi_re, hi_im));
         });
     }
 
@@ -302,13 +273,12 @@ impl<T: Scalar> StateBatch<T> {
         let (mr, mi) = split_mat4(&local_2q_matrix(m, a, b));
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
         let bl = self.n_lanes;
-        let kern = self.kern();
         self.for_chunks(2 * sh * bl, move |re, im| {
             let mut base = 0usize;
             while base < sh {
                 let [r0, r1, r2, r3] = quad_runs(re, base, sh, sl, bl);
                 let [i0, i1, i2, i3] = quad_runs(im, base, sh, sl, bl);
-                kern.mat4_run(&mr, &mi, [(r0, i0), (r1, i1), (r2, i2), (r3, i3)]);
+                vec_ops::mat4_planes(&mr, &mi, [r0, r1, r2, r3], [i0, i1, i2, i3]);
                 base += 2 * sl;
             }
         });
@@ -332,13 +302,12 @@ impl<T: Scalar> StateBatch<T> {
         let skip: Option<Vec<bool>> = skip.map(<[bool]>::to_vec);
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
         let bl = self.n_lanes;
-        let kern = self.kern();
         self.for_chunks(2 * sh * bl, move |re, im| {
             let mut base = 0usize;
             while base < sh {
                 let [r0, r1, r2, r3] = quad_runs(re, base, sh, sl, bl);
                 let [i0, i1, i2, i3] = quad_runs(im, base, sh, sl, bl);
-                kern.mat4_lanes_run(
+                kernels::mat4_lanes_run(
                     &lm,
                     skip.as_deref(),
                     [(r0, i0), (r1, i1), (r2, i2), (r3, i3)],
@@ -374,12 +343,11 @@ impl<T: Scalar> StateBatch<T> {
         assert!(q < self.n_qubits, "qubit {q} out of range");
         let (d0, d1) = ((d[0].re, d[0].im), (d[1].re, d[1].im));
         let half = (1usize << q) * self.n_lanes;
-        let kern = self.kern();
         self.for_chunks(2 * half, move |re, im| {
             let (lo_re, hi_re) = re.split_at_mut(half);
             let (lo_im, hi_im) = im.split_at_mut(half);
-            kern.cmul_run(d0, (lo_re, lo_im));
-            kern.cmul_run(d1, (hi_re, hi_im));
+            vec_ops::cmul_plane(d0.0, d0.1, lo_re, lo_im);
+            vec_ops::cmul_plane(d1.0, d1.1, hi_re, hi_im);
         });
     }
 
@@ -397,14 +365,13 @@ impl<T: Scalar> StateBatch<T> {
         let ld = [pick(0, 0), pick(0, 1), pick(1, 0), pick(1, 1)];
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
         let bl = self.n_lanes;
-        let kern = self.kern();
         self.for_chunks(2 * sh * bl, move |re, im| {
             let mut base = 0usize;
             while base < sh {
                 let rr = quad_runs(re, base, sh, sl, bl);
                 let ri = quad_runs(im, base, sh, sl, bl);
                 for (k, (r, i)) in rr.into_iter().zip(ri).enumerate() {
-                    kern.cmul_run(ld[k], (r, i));
+                    vec_ops::cmul_plane(ld[k].0, ld[k].1, r, i);
                 }
                 base += 2 * sl;
             }
@@ -420,11 +387,10 @@ impl<T: Scalar> StateBatch<T> {
         let phr = phase.map(|z| z.re);
         let phi = phase.map(|z| z.im);
         let half = (1usize << q) * self.n_lanes;
-        let kern = self.kern();
         self.for_chunks(2 * half, move |re, im| {
             let (lo_re, hi_re) = re.split_at_mut(half);
             let (lo_im, hi_im) = im.split_at_mut(half);
-            kern.perm2_run(&perm, &phr, &phi, (lo_re, lo_im), (hi_re, hi_im));
+            kernels::perm2_run(&perm, &phr, &phi, (lo_re, lo_im), (hi_re, hi_im));
         });
     }
 
@@ -443,20 +409,18 @@ impl<T: Scalar> StateBatch<T> {
         let phi = lphase.map(|z| z.im);
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
         let bl = self.n_lanes;
-        let kern = self.kern();
         self.for_chunks(2 * sh * bl, move |re, im| {
             let mut base = 0usize;
             while base < sh {
                 let [r0, r1, r2, r3] = quad_runs(re, base, sh, sl, bl);
                 let [i0, i1, i2, i3] = quad_runs(im, base, sh, sl, bl);
-                kern.perm4_run(&lperm, &phr, &phi, [(r0, i0), (r1, i1), (r2, i2), (r3, i3)]);
+                kernels::perm4_run(&lperm, &phr, &phi, [(r0, i0), (r1, i1), (r2, i2), (r3, i3)]);
                 base += 2 * sl;
             }
         });
     }
 
-    /// CNOT fast path (row swaps, no arithmetic — pure plane memmoves,
-    /// identical under every kernel implementation).
+    /// CNOT fast path (row swaps, no arithmetic — pure plane memmoves).
     pub fn apply_cx(&mut self, control: usize, target: usize) {
         assert!(control < self.n_qubits && target < self.n_qubits && control != target);
         let cm = 1usize << control;
@@ -507,13 +471,12 @@ impl<T: Scalar> StateBatch<T> {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
         let (sh, sl) = (1usize << a.max(b), 1usize << a.min(b));
         let bl = self.n_lanes;
-        let kern = self.kern();
         self.for_chunks(2 * sh * bl, move |re, im| {
             let mut base = 0usize;
             while base < sh {
                 let [_, _, _, r3] = quad_runs(re, base, sh, sl, bl);
                 let [_, _, _, i3] = quad_runs(im, base, sh, sl, bl);
-                kern.neg_run((r3, i3));
+                vec_ops::neg_plane(r3, i3);
                 base += 2 * sl;
             }
         });
@@ -631,12 +594,11 @@ impl<T: Scalar> StateBatch<T> {
         } else {
             n_amps
         };
-        let kern = self.kern();
         out.fill(T::ZERO);
         let mut block_sum = vec![T::ZERO; b];
         for (rows_re, rows_im) in self.re.chunks(block * b).zip(self.im.chunks(block * b)) {
             block_sum.fill(T::ZERO);
-            kern.norm_acc_rows(rows_re, rows_im, b, &mut block_sum);
+            kernels::norm_acc_rows(rows_re, rows_im, b, &mut block_sum);
             for (o, s) in out.iter_mut().zip(&block_sum) {
                 *o += *s;
             }
@@ -661,9 +623,8 @@ impl<T: Scalar> StateBatch<T> {
             })
             .collect();
         let b = self.n_lanes;
-        let kern = self.kern();
         self.for_chunks(ROWS_PER_CHUNK * b, move |re, im| {
-            kern.scale_rows((re, im), b, &inv);
+            kernels::scale_rows((re, im), b, &inv);
         });
     }
 }
@@ -883,17 +844,8 @@ mod tests {
     /// Distinct random product-ish states, one per lane, mirrored into a
     /// batch and a per-lane scalar vector.
     fn mirrored(n: usize, lanes: usize, seed: u64) -> (StateBatch<f64>, Vec<Sv>) {
-        mirrored_with(n, lanes, seed, KernelImpl::auto())
-    }
-
-    fn mirrored_with(
-        n: usize,
-        lanes: usize,
-        seed: u64,
-        kernels: KernelImpl,
-    ) -> (StateBatch<f64>, Vec<Sv>) {
         let mut rng = ptsbe_rng::PhiloxRng::new(seed, 0);
-        let mut batch = StateBatch::zero_states_with(n, lanes, kernels);
+        let mut batch = StateBatch::zero_states(n, lanes);
         let mut svs = Vec::with_capacity(lanes);
         for lane in 0..lanes {
             let mut sv = Sv::zero_state(n);
@@ -953,25 +905,23 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_impl_bitwise_matches_scalar() {
-        for kernels in [KernelImpl::Scalar, KernelImpl::Soa, KernelImpl::Simd] {
-            let (mut batch, mut svs) = mirrored_with(4, 5, 1500, kernels);
-            let mut rng = ptsbe_rng::PhiloxRng::new(1501, 0);
-            let u1 = ptsbe_math::random::haar_unitary::<f64>(2, &mut rng);
-            let u2 = ptsbe_math::random::haar_unitary::<f64>(4, &mut rng);
-            let d1 = [Complex::cis(0.3), Complex::cis(-1.1)];
-            batch.apply_1q(&u1, 1);
-            batch.apply_2q(&u2, 3, 0);
-            batch.apply_diag_1q(&d1, 2);
-            batch.apply_cz(0, 2);
-            for s in svs.iter_mut() {
-                s.apply_1q(&u1, 1);
-                s.apply_2q(&u2, 3, 0);
-                s.apply_diag_1q(&d1, 2);
-                s.apply_cz(0, 2);
-            }
-            assert_lanes_bitwise(&batch, &svs, kernels.label());
+    fn mixed_sweep_bitwise_matches_scalar() {
+        let (mut batch, mut svs) = mirrored(4, 5, 1500);
+        let mut rng = ptsbe_rng::PhiloxRng::new(1501, 0);
+        let u1 = ptsbe_math::random::haar_unitary::<f64>(2, &mut rng);
+        let u2 = ptsbe_math::random::haar_unitary::<f64>(4, &mut rng);
+        let d1 = [Complex::cis(0.3), Complex::cis(-1.1)];
+        batch.apply_1q(&u1, 1);
+        batch.apply_2q(&u2, 3, 0);
+        batch.apply_diag_1q(&d1, 2);
+        batch.apply_cz(0, 2);
+        for s in svs.iter_mut() {
+            s.apply_1q(&u1, 1);
+            s.apply_2q(&u2, 3, 0);
+            s.apply_diag_1q(&d1, 2);
+            s.apply_cz(0, 2);
         }
+        assert_lanes_bitwise(&batch, &svs, "mixed");
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!   kernel swept across all `B` lanes at once with lane-contiguous
 //!   shuffle-free inner loops, bit-identical per lane to the scalar
 //!   kernels;
-//! - [`kernels`] — the pluggable run-kernel dispatch seam behind the
-//!   batch sweeps ([`kernels::BatchKernels`]): scalar-reference,
-//!   SoA-autovec, and AVX2/FMA implementations selected at batch
-//!   construction (`PTSBE_BATCH_KERNELS` overrides);
+//! - [`kernels`] — the split-plane (SoA) run loops behind the batch
+//!   sweeps, written for the autovectorizer; the only batch-kernel
+//!   implementation ([`KernelImpl`] names it);
 //! - [`sampling`] — the *bulk* shot sampler: O(2^n + m) sorted-uniform
 //!   merge or O(1)-per-shot alias table, the polynomial-cost step whose
 //!   amortization over `m_α` shots is the entire point of Batched
@@ -41,7 +40,7 @@ pub mod state;
 
 pub use batch::{advance_batch, StateBatch};
 pub use exec::{prepare_with_assignment, run_pure, ExecError};
-pub use kernels::{BatchKernels, KernelImpl};
+pub use kernels::KernelImpl;
 pub use sampling::SamplingStrategy;
 pub use state::StateVector;
 
