@@ -13,6 +13,9 @@
 //! the delivered bytes are invariant under scheduling — the property the
 //! determinism suite pins across worker counts {1, 4, 8}.
 //!
+//! Each worker is one core: it runs every task under a one-thread rayon
+//! budget (see `worker_loop`), so the worker pool is the only parallelism.
+//!
 //! # Fault tolerance
 //!
 //! Because chunks are pure functions of (spec, chunk index) and the
@@ -153,10 +156,6 @@ pub struct ServiceConfig {
     /// (more per-bond truncations) and wrong (28% truncation error)
     /// against χ=256 on the encoded-MSD workload.
     pub mps_bond_ceiling: usize,
-    /// Let executors fan out over rayon *inside* a chunk. Output-neutral
-    /// (executors are scheduling-deterministic); disable to keep each
-    /// worker single-core when the pool itself saturates the machine.
-    pub executor_parallel: bool,
     /// Lane auto-sizing for the batch-major engine (L2 working-set
     /// target and lane bounds). Output-neutral: batch-major results are
     /// bitwise invariant under lane count (pinned by the core suite), so
@@ -192,7 +191,6 @@ impl Default for ServiceConfig {
             sharing_threshold: 0.5,
             mps_qubit_threshold: 30,
             mps_bond_ceiling: ptsbe_tensornet::MpsConfig::EXACT_MAX_BOND,
-            executor_parallel: false,
             batch: BatchConfig::default(),
             cache_budget_bytes: None,
             retry: RetryPolicy::default(),
@@ -436,6 +434,25 @@ fn validate(spec: &JobSpec) -> Result<(), ServiceError> {
             "{n_measured} measured bits exceed the 128-bit shot record"
         )));
     }
+    // Checked whatever the route: the router probes MPS for wide or
+    // auto-routed jobs, and a dense fallback must not mask a bad config.
+    let mps = &spec.mps;
+    if mps.max_bond == 0 {
+        return Err(ServiceError::InvalidJob(
+            "mps max_bond must be at least 1".to_string(),
+        ));
+    }
+    for (name, v) in [
+        ("cutoff", mps.cutoff),
+        ("trunc_per_update", mps.trunc_per_update),
+        ("trunc_budget", mps.trunc_budget),
+    ] {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(ServiceError::InvalidJob(format!(
+                "mps {name} must be finite and non-negative, got {v}"
+            )));
+        }
+    }
     let sites = spec.circuit.sites();
     for (i, t) in spec.plan.trajectories.iter().enumerate() {
         if t.choices.len() != sites.len() {
@@ -501,7 +518,21 @@ fn supervisor_loop<T: Scalar>(shared: Arc<Shared<T>>, table: WorkerTable) {
     }
 }
 
+/// The whole task loop runs under a one-thread rayon budget, so plan,
+/// compile and chunk work run inline down to the gate kernels. The budget
+/// only changes scheduling: the kernels' serial and rayon paths are
+/// bitwise identical (pinned by the service suite's wide-circuit test). A
+/// worker respawned by the supervisor re-enters here and gets the same
+/// budget.
 fn worker_loop<T: Scalar>(shared: Arc<Shared<T>>, slot: usize) {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("build a one-thread rayon budget")
+        .install(|| claim_tasks(&shared, slot));
+}
+
+fn claim_tasks<T: Scalar>(shared: &Arc<Shared<T>>, slot: usize) {
     loop {
         let task = {
             let mut q = lock_healed(&shared.queue);
@@ -545,13 +576,13 @@ fn worker_loop<T: Scalar>(shared: Arc<Shared<T>>, slot: usize) {
             }
         }
         match task {
-            Task::Plan(job) => plan_job(&shared, job),
+            Task::Plan(job) => plan_job(shared, job),
             Task::Chunk {
                 job,
                 index,
                 chunk,
                 attempt,
-            } => run_chunk(&shared, job, index, chunk, attempt),
+            } => run_chunk(shared, job, index, chunk, attempt),
         }
         lock_healed(&shared.in_flight)[slot] = None;
     }
@@ -717,8 +748,8 @@ fn split_chunks(spec: &JobSpec, decision: &crate::router::RouteDecision) -> Vec<
             chunks
         }
         EngineKind::Tree | EngineKind::MpsTree => {
-            // Prefix sharing spans the whole plan; one task, internally
-            // parallel over subtrees.
+            // Prefix sharing spans the whole plan: one task, run on its
+            // worker's one-thread budget.
             if spec.plan.trajectories.is_empty() {
                 Vec::new()
             } else {
@@ -1014,7 +1045,6 @@ fn execute_chunk<T: Scalar>(
     let exec = lock_healed(&job.exec)
         .clone()
         .ok_or_else(|| "internal: chunk scheduled before its engine was installed".to_string())?;
-    let parallel = shared.cfg.executor_parallel;
     let records = match (exec.as_ref(), chunk) {
         (EngineExec::Frame(entry), ChunkSpec::Shots { stream, shots }) => {
             let mut rng = PhiloxRng::for_trajectory(spec.seed, *stream);
@@ -1045,24 +1075,24 @@ fn execute_chunk<T: Scalar>(
         (EngineExec::Flat(entry), ChunkSpec::Traj(range)) => {
             let ex = BatchedExecutor {
                 seed: spec.seed,
-                parallel,
+                parallel: false,
             };
             to_records(ex.execute_slice(&entry.backend, &spec.circuit, &spec.plan, range.clone()))
         }
         (EngineExec::BatchMajor(entry), ChunkSpec::Traj(range)) => {
             let ex = BatchMajorExecutor {
                 seed: spec.seed,
-                parallel,
+                parallel: false,
                 lanes: 0,
                 cfg: shared.cfg.batch,
             };
             to_records(ex.execute_slice(&entry.backend, &spec.circuit, &spec.plan, range.clone()))
         }
         (EngineExec::Tree { entry, tree }, ChunkSpec::Whole) => {
-            tree_records(spec, parallel, &entry.backend, tree, &entry.pool)
+            tree_records(spec, &entry.backend, tree, &entry.pool)
         }
         (EngineExec::MpsTree { entry, tree }, ChunkSpec::Whole) => {
-            tree_records(spec, parallel, &entry.backend, tree, &entry.pool)
+            tree_records(spec, &entry.backend, tree, &entry.pool)
         }
         _ => {
             return Err("internal: chunk shape does not match the routed engine".to_string());
@@ -1074,14 +1104,13 @@ fn execute_chunk<T: Scalar>(
 /// Walk the whole plan tree on `backend`, forking from its warm pool.
 fn tree_records<B: Backend>(
     spec: &JobSpec,
-    parallel: bool,
     backend: &B,
     tree: &PtsPlanTree,
     pool: &StatePool<B::State>,
 ) -> Vec<TrajectoryRecord> {
     let ex = TreeExecutor {
         seed: spec.seed,
-        parallel,
+        parallel: false,
     };
     to_records(ex.execute_tree_pooled(backend, &spec.circuit, &spec.plan, tree, pool))
 }

@@ -553,6 +553,99 @@ fn bytes_identical_across_worker_counts_all_engines() {
     }
 }
 
+/// 15 qubits: above `PARALLEL_THRESHOLD_QUBITS` and the sampler's
+/// parallel cutoff, so gate sweeps, batch sweeps and sampling all take
+/// their rayon paths. Enough T gates and noise that trajectories differ.
+fn wide_t_circuit(p: f64) -> NoisyCircuit {
+    let n = 15;
+    let mut c = Circuit::new(n);
+    for q in 0..n {
+        c.h(q);
+    }
+    for q in 0..n - 1 {
+        c.cx(q, q + 1).t(q + 1);
+    }
+    c.measure_all();
+    NoiseModel::new()
+        .with_default_1q(channels::depolarizing(p))
+        .with_default_2q(channels::depolarizing(p))
+        .apply(&c)
+}
+
+/// The worker's rayon budget never reaches the bytes: on a circuit wide
+/// enough that the kernels go parallel, every sv engine delivers the same
+/// dataset on 1 and 2 workers (each on a one-thread budget), and a
+/// direct executor call on this thread at the full core budget writes
+/// those bytes too.
+#[test]
+fn worker_thread_budget_is_output_neutral_on_parallel_kernels() {
+    let nc = Arc::new(wide_t_circuit(0.05));
+    let plan = Arc::new(plan_for(&nc, 6, 4, true, 41));
+    let backend = ptsbe_core::SvBackend::<f64>::new_with_fusion(
+        &nc,
+        ptsbe_statevector::SamplingStrategy::Auto,
+        true,
+    )
+    .unwrap();
+    let seed = 5;
+    for engine in [EngineKind::Flat, EngineKind::Tree, EngineKind::BatchMajor] {
+        let mut spec = JobSpec::new("wide", Arc::clone(&nc), Arc::clone(&plan), seed)
+            .with_engine(EnginePolicy::Force(engine));
+        spec.chunk_trajectories = 2;
+        let mut reference: Option<Vec<u8>> = None;
+        for workers in [1usize, 2] {
+            let service: ShotService = ShotService::start(ServiceConfig {
+                workers,
+                ..ServiceConfig::default()
+            });
+            let buf = SharedBuffer::new();
+            let report = service
+                .submit(spec.clone(), Box::new(JsonlSink::new(buf.clone())))
+                .unwrap()
+                .wait();
+            let label = format!("{engine:?}/workers={workers}");
+            assert!(report.status.is_success(), "{label}: {report:?}");
+            assert_eq!(report.engine, Some(engine), "{label}");
+            match &reference {
+                None => reference = Some(buf.bytes()),
+                Some(r) => assert_eq!(&buf.bytes(), r, "{label}: dataset bytes drifted"),
+            }
+        }
+        let reference = reference.expect("at least one service run");
+        let batch = match engine {
+            EngineKind::Flat => ptsbe_core::BatchedExecutor {
+                seed,
+                parallel: false,
+            }
+            .execute(&backend, &nc, &plan),
+            EngineKind::Tree => ptsbe_core::TreeExecutor {
+                seed,
+                parallel: false,
+            }
+            .execute(&backend, &nc, &plan),
+            _ => ptsbe_core::BatchMajorExecutor {
+                seed,
+                parallel: false,
+                lanes: 0,
+                cfg: ptsbe_core::BatchConfig::default(),
+            }
+            .execute(&backend, &nc, &plan),
+        };
+        let (header, _) = ptsbe_dataset::jsonl::read(reference.as_slice()).unwrap();
+        let mut direct = Vec::new();
+        ptsbe_dataset::jsonl::write(
+            &mut direct,
+            &header,
+            &ptsbe_dataset::record::records_from_batch(&batch),
+        )
+        .unwrap();
+        assert_eq!(
+            direct, reference,
+            "{engine:?}: a direct full-budget executor call must write the service's bytes"
+        );
+    }
+}
+
 /// Tree, batch-major and flat are bitwise-identical executors, so the
 /// *records* they deliver for the same job must match exactly (headers
 /// differ by engine label only).
@@ -798,6 +891,34 @@ fn invalid_plan_rejected_at_submit() {
         match service.submit(spec, Box::new(sink)).unwrap_err() {
             ServiceError::InvalidJob(msg) => assert!(msg.contains("132 measured bits"), "{msg}"),
             other => panic!("{policy:?}: expected InvalidJob, got {other:?}"),
+        }
+    }
+
+    // Malformed MPS configs: refused at admission on every engine, not
+    // only when the job happens to route (or probe) MPS.
+    let nc = bell_circuit(0.1);
+    let plan = plan_for(&nc, 3, 5, true, 93);
+    type Corrupt = fn(&mut ptsbe_tensornet::MpsConfig);
+    let bad_mps: [(&str, Corrupt); 9] = [
+        ("max_bond", |m| m.max_bond = 0),
+        ("cutoff", |m| m.cutoff = -1e-9),
+        ("cutoff", |m| m.cutoff = f64::NAN),
+        ("trunc_per_update", |m| m.trunc_per_update = -0.5),
+        ("trunc_per_update", |m| m.trunc_per_update = f64::INFINITY),
+        ("trunc_per_update", |m| m.trunc_per_update = f64::NAN),
+        ("trunc_budget", |m| m.trunc_budget = -1.0),
+        ("trunc_budget", |m| m.trunc_budget = f64::NEG_INFINITY),
+        ("trunc_budget", |m| m.trunc_budget = f64::NAN),
+    ];
+    for (field, corrupt) in bad_mps {
+        for policy in policies {
+            let mut spec = JobSpec::new("bad-mps", nc.clone(), plan.clone(), 1).with_engine(policy);
+            corrupt(&mut spec.mps);
+            let (sink, _) = MemorySink::new();
+            match service.submit(spec, Box::new(sink)).unwrap_err() {
+                ServiceError::InvalidJob(msg) => assert!(msg.contains(field), "{field}: {msg}"),
+                other => panic!("{field}/{policy:?}: expected InvalidJob, got {other:?}"),
+            }
         }
     }
 }

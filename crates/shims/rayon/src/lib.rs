@@ -15,6 +15,7 @@
 
 use std::cell::Cell;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelIterator, ParallelSlice, ParallelSliceMut};
@@ -27,13 +28,21 @@ thread_local! {
     static POOL_THREADS: Cell<usize> = const { Cell::new(0) };
 }
 
+/// The machine's core count, read once per process (like rayon's global
+/// registry size): `available_parallelism` re-reads cgroup quota files
+/// on every call, which costs more than a small kernel sweep.
+fn default_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Number of threads parallel work may use from the current context.
 pub fn current_num_threads() -> usize {
     let installed = POOL_THREADS.with(Cell::get);
     if installed > 0 {
         return installed;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    default_threads()
 }
 
 fn effective_threads(n_items: usize) -> usize {
@@ -84,7 +93,7 @@ impl ThreadPoolBuilder {
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         Ok(ThreadPool {
             num_threads: if self.num_threads == 0 {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
+                default_threads()
             } else {
                 self.num_threads
             },
@@ -99,12 +108,17 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Run `f` with this pool's thread count installed.
+    /// Run `f` with this pool's thread count installed. The previous
+    /// budget comes back when `f` returns or unwinds.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let prev = POOL_THREADS.with(|c| c.replace(self.num_threads));
-        let out = f();
-        POOL_THREADS.with(|c| c.set(prev));
-        out
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                POOL_THREADS.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(POOL_THREADS.with(|c| c.replace(self.num_threads)));
+        f()
     }
 
     /// The pool's thread budget.
@@ -649,6 +663,59 @@ mod tests {
         pool.install(|| {
             assert_eq!(current_num_threads(), 2);
         });
+    }
+
+    #[test]
+    fn one_thread_install_runs_every_source_inline_in_order() {
+        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let caller = std::thread::current().id();
+        let log = std::sync::Mutex::new(Vec::new());
+        let visit = |i: usize| {
+            assert_eq!(std::thread::current().id(), caller);
+            log.lock().unwrap().push(i);
+        };
+        let check = |source: &str, expect: Vec<usize>| {
+            assert_eq!(
+                std::mem::take(&mut *log.lock().unwrap()),
+                expect,
+                "{source}"
+            );
+        };
+        let n = 10_000usize;
+        let all: Vec<usize> = (0..n).collect();
+        let chunk_starts: Vec<usize> = (0..n).step_by(7).collect();
+        pool.install(|| {
+            let mut v = all.clone();
+            v.par_iter().for_each(|&x| visit(x));
+            check("par_iter", all.clone());
+            v.par_iter_mut().for_each(|x| visit(*x));
+            check("par_iter_mut", all.clone());
+            v.par_chunks(7).for_each(|c| visit(c[0]));
+            check("par_chunks", chunk_starts.clone());
+            v.par_chunks_mut(7).for_each(|c| visit(c[0]));
+            check("par_chunks_mut", chunk_starts.clone());
+            (0..n).into_par_iter().for_each(visit);
+            check("range into_par_iter", all.clone());
+            v.into_par_iter().for_each(visit);
+            check("vec into_par_iter", all.clone());
+        });
+    }
+
+    #[test]
+    fn install_restores_the_budget_after_a_panic() {
+        let before = current_num_threads();
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(before + 3)
+            .build()
+            .unwrap();
+        let caught = std::panic::catch_unwind(|| {
+            pool.install(|| {
+                assert_eq!(current_num_threads(), before + 3);
+                panic!("inside install");
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(current_num_threads(), before);
     }
 
     #[test]

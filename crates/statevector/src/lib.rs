@@ -29,7 +29,13 @@
 //! Parallelism: kernels switch to rayon data-parallel loops above
 //! [`PARALLEL_THRESHOLD_QUBITS`]; the caller controls the thread budget by
 //! running inside a configured `rayon::ThreadPool` (this substitutes for
-//! the paper's intra-trajectory multi-GPU distribution).
+//! the paper's intra-trajectory multi-GPU distribution). The data-
+//! collection service is that caller: each of its workers runs under a
+//! one-thread budget, so the kernels run inline and the worker pool
+//! supplies the parallelism. The budget changes only scheduling, never
+//! results: the rayon paths fold per-chunk results in input order, and
+//! where a sweep reads the budget to choose its path (`StateBatch`), the
+//! serial and parallel paths are bitwise identical.
 
 pub mod batch;
 pub mod exec;
@@ -45,5 +51,7 @@ pub use sampling::SamplingStrategy;
 pub use state::StateVector;
 
 /// Below this many qubits the gate kernels stay serial: thread fan-out
-/// costs more than the whole sweep.
+/// costs more than the whole sweep. At or above it they take their rayon
+/// paths, which fan out only as far as the caller's thread budget allows;
+/// the service's workers set a one-thread budget (see the crate docs).
 pub const PARALLEL_THRESHOLD_QUBITS: usize = 14;
