@@ -24,12 +24,15 @@
 //!   pass serve the whole group, with a lane-contiguous inner loop that
 //!   autovectorizes. Also bitwise identical to the flat executor.
 //!
-//! Both fan out over rayon (the CPU analog of the paper's
-//! inter-trajectory multi-GPU distribution): the flat executor maps over
-//! trajectories, the tree executor expands a bounded frontier of
-//! independent subtrees and maps over those. Every trajectory is seeded
-//! with its own counter-based stream, so results are reproducible
-//! regardless of scheduling.
+//! With `parallel` set, each fans out over rayon (the CPU analog of the
+//! paper's inter-trajectory multi-GPU distribution): the flat executor
+//! maps over trajectories, the batch-major executor over lane groups,
+//! and the tree executor over the leaf ranges of
+//! [`PtsPlanTree::leaf_chunks`], each walked by
+//! [`TreeExecutor::execute_tree_range`] — the same subtree chunks the
+//! data-collection service schedules across its workers. Every
+//! trajectory is seeded with its own counter-based stream, so results
+//! are reproducible regardless of scheduling.
 
 use crate::assignment::TrajectoryMeta;
 use crate::backend::{Backend, SvBackend};
@@ -40,10 +43,11 @@ use ptsbe_math::Scalar;
 use ptsbe_rng::PhiloxRng;
 use ptsbe_statevector::{batch, StateVector};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Order-preserving map over owned items: rayon fan-out when `parallel`,
-/// plain iteration otherwise. The single switch point both executors
-/// route their trajectory/subtree parallelism through.
+/// plain iteration otherwise. The single switch point every executor
+/// routes its trajectory, lane-group or subtree parallelism through.
 fn fan_out<T, R, F>(parallel: bool, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -185,7 +189,8 @@ impl BatchedExecutor {
 pub struct TreeExecutor {
     /// Run seed; trajectory `i` uses Philox stream `for_trajectory(seed, i)`.
     pub seed: u64,
-    /// Fan sibling subtrees out over rayon (disable for serial baselines).
+    /// Fan the tree's leaf-range chunks out over rayon (disable for
+    /// serial baselines).
     pub parallel: bool,
 }
 
@@ -232,6 +237,11 @@ impl TreeExecutor {
     /// leaves release theirs back, making the walk allocation-free in
     /// steady state. The pool may be reused (warm) across calls;
     /// `pool.stats()` afterwards reports the recycled/fresh fork split.
+    ///
+    /// With `parallel`, the leaf ranges of [`PtsPlanTree::leaf_chunks`]
+    /// fan out over rayon, each through
+    /// [`TreeExecutor::execute_tree_range`] — the same subtree split the
+    /// data-collection service schedules as chunks.
     pub fn execute_tree_pooled<B: Backend>(
         &self,
         backend: &B,
@@ -240,7 +250,51 @@ impl TreeExecutor {
         tree: &PtsPlanTree,
         pool: &StatePool<B::State>,
     ) -> BatchResult {
-        if plan.trajectories.is_empty() {
+        let ranges = if self.parallel {
+            tree.leaf_chunks(plan)
+        } else {
+            std::iter::once(0..tree.n_trajectories()).collect()
+        };
+        let mut trajectories: Vec<TrajectoryResult> = fan_out(self.parallel, ranges, |leaves| {
+            self.execute_tree_range(backend, nc, plan, tree, pool, leaves)
+                .trajectories
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        // Each range comes back in plan order; merge them.
+        trajectories.sort_unstable_by_key(|t| t.meta.traj_id);
+        BatchResult { trajectories }
+    }
+
+    /// Execute only the leaves at positions `leaves` of the tree's
+    /// depth-first leaf order (the order of
+    /// [`PtsPlanTree::leaf_plan_indices`]), in plan order. The walk
+    /// visits only children whose [`span`](crate::plan::PtsTreeNode::span)
+    /// overlaps the range: it replays the shared prefix down to the
+    /// range's first leaf, and the last child it visits at each node
+    /// consumes the parent state, so it forks no state it does not need.
+    /// Every leaf keeps its plan-index Philox stream, so the results are
+    /// bitwise those of the whole walk, for any partition of the leaves
+    /// into ranges.
+    ///
+    /// # Panics
+    /// Panics when `leaves` exceeds the tree's leaf count.
+    pub fn execute_tree_range<B: Backend>(
+        &self,
+        backend: &B,
+        nc: &NoisyCircuit,
+        plan: &PtsPlan,
+        tree: &PtsPlanTree,
+        pool: &StatePool<B::State>,
+        leaves: Range<usize>,
+    ) -> BatchResult {
+        assert!(
+            leaves.end <= tree.n_trajectories(),
+            "leaf range {leaves:?} exceeds the tree's {} leaves",
+            tree.n_trajectories()
+        );
+        if leaves.is_empty() {
             return BatchResult::default();
         }
         let ctx = TreeCtx {
@@ -249,38 +303,9 @@ impl TreeExecutor {
             plan,
             tree,
             pool,
+            leaves,
         };
-        let state = backend.initial_state();
-        let mut tagged = if self.parallel {
-            // Expand a bounded frontier of independent subtrees breadth
-            // first, then fan all of them out in ONE parallel map from
-            // this (non-worker) thread. Fanning out per-node instead
-            // would cap concurrency at the arity of the shallowest
-            // branch point, since nested parallel calls degrade to
-            // serial inside a worker.
-            let target = rayon::current_num_threads().max(1) * 2;
-            let mut frontier: Vec<(usize, B::State, f64)> = vec![(tree.root(), state, 1.0)];
-            let mut at = 0usize;
-            while frontier.len() < target && at < frontier.len() {
-                if tree.node(frontier[at].0).children.is_empty() {
-                    at += 1; // leaf: nothing to expand
-                    continue;
-                }
-                let (node_idx, node_state, acc) = frontier.remove(at);
-                let mut carrier = Some(node_state);
-                for i in 0..tree.node(node_idx).children.len() {
-                    frontier.push(ctx.fork_and_advance(node_idx, i, &mut carrier, acc));
-                }
-            }
-            fan_out(true, frontier, |(node_idx, node_state, acc)| {
-                self.walk(&ctx, node_idx, node_state, acc)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            self.walk(&ctx, tree.root(), state, 1.0)
-        };
+        let mut tagged = self.walk(&ctx);
         // Leaves surface in depth-first (sorted-assignment) order;
         // restore plan order for flat-executor equivalence.
         tagged.sort_unstable_by_key(|(idx, _)| *idx);
@@ -289,28 +314,16 @@ impl TreeExecutor {
         }
     }
 
-    /// Depth-first walk of the subtree rooted at `node_idx`, whose state
-    /// has been advanced through segments `0..node.depth` with partial
-    /// probability `acc`. Iterative (an explicit frame stack, so depth is
+    /// Depth-first walk from the root over the children that overlap
+    /// `ctx.leaves`. Iterative (an explicit frame stack, so depth is
     /// never bounded by the call stack — low-noise tries are one long
     /// single-child chain per shared prefix), with siblings processed one
     /// at a time so at most one live forked state exists per *branch
     /// point* on the current path, not per sibling. Returns
-    /// `(plan index, result)` pairs for every leaf underneath.
-    fn walk<B: Backend>(
-        &self,
-        ctx: &TreeCtx<'_, B>,
-        node_idx: usize,
-        state: B::State,
-        acc: f64,
-    ) -> Vec<(usize, TrajectoryResult)> {
+    /// `(plan index, result)` pairs for every leaf in range.
+    fn walk<B: Backend>(&self, ctx: &TreeCtx<'_, B>) -> Vec<(usize, TrajectoryResult)> {
         let mut out = Vec::new();
-        let mut stack = vec![WalkFrame {
-            node_idx,
-            carrier: Some(state),
-            acc,
-            next_child: 0,
-        }];
+        let mut stack = vec![ctx.frame(ctx.tree.root(), ctx.backend.initial_state(), 1.0)];
         while let Some(top) = stack.last() {
             let node = ctx.tree.node(top.node_idx);
             if node.children.is_empty() {
@@ -319,37 +332,34 @@ impl TreeExecutor {
                 ctx.emit_leaf(self.seed, frame.node_idx, state, frame.acc, &mut out);
                 continue;
             }
-            if top.next_child == node.children.len() {
+            if top.next_child > top.last_child {
                 stack.pop();
                 continue;
             }
             let frame = stack.last_mut().expect("frame present");
             let i = frame.next_child;
             frame.next_child += 1;
-            let acc = frame.acc;
-            let job = {
-                let node_idx = frame.node_idx;
-                let carrier = &mut frame.carrier;
-                ctx.fork_and_advance(node_idx, i, carrier, acc)
-            };
-            stack.push(WalkFrame {
-                node_idx: job.0,
-                carrier: Some(job.1),
-                acc: job.2,
-                next_child: 0,
-            });
+            let (child_idx, child_state, acc) = ctx.fork_and_advance(
+                frame.node_idx,
+                i,
+                i == frame.last_child,
+                &mut frame.carrier,
+                frame.acc,
+            );
+            stack.push(ctx.frame(child_idx, child_state, acc));
         }
         out
     }
 }
 
 /// One explicit DFS frame of [`TreeExecutor::walk`]: a node whose state
-/// (`carrier`) is consumed by its last child.
+/// (`carrier`) is consumed by `last_child`, the last child in range.
 struct WalkFrame<S> {
     node_idx: usize,
     carrier: Option<S>,
     acc: f64,
     next_child: usize,
+    last_child: usize,
 }
 
 /// Shared read-only context of one tree execution.
@@ -360,29 +370,45 @@ struct TreeCtx<'a, B: Backend> {
     tree: &'a PtsPlanTree,
     /// Recycles state buffers across forks and finished leaves.
     pool: &'a StatePool<B::State>,
+    /// Depth-first leaf positions this walk emits.
+    leaves: Range<usize>,
 }
 
 impl<B: Backend> TreeCtx<'_, B> {
-    /// Take the parent state out of `carrier` (the last sibling consumes
-    /// the original allocation; earlier siblings fork it) and advance it
-    /// one segment along child `i` of `node_idx`. Returns the child's
-    /// `(node index, state, accumulated probability)` — the single code
-    /// path both the serial walk and the parallel frontier expansion go
-    /// through, so fork order and probability association can never
-    /// diverge between them.
+    /// A DFS frame for `node_idx` (whose span overlaps the range),
+    /// bounded to the children whose spans overlap the range. Children
+    /// are ordered by span, so those form one contiguous run.
+    fn frame(&self, node_idx: usize, state: B::State, acc: f64) -> WalkFrame<B::State> {
+        let children = &self.tree.node(node_idx).children;
+        let span = |&(_, c): &(usize, usize)| self.tree.node(c).span.clone();
+        let next_child = children.partition_point(|c| span(c).end <= self.leaves.start);
+        let end = children.partition_point(|c| span(c).start < self.leaves.end);
+        WalkFrame {
+            node_idx,
+            carrier: Some(state),
+            acc,
+            next_child,
+            last_child: end.saturating_sub(1),
+        }
+    }
+
+    /// Take the parent state out of `carrier` (the last child in range
+    /// consumes the original allocation; earlier ones fork it) and
+    /// advance it one segment along child `i` of `node_idx`. Returns the
+    /// child's `(node index, state, accumulated probability)`.
     fn fork_and_advance(
         &self,
         node_idx: usize,
         i: usize,
+        last: bool,
         carrier: &mut Option<B::State>,
         acc: f64,
     ) -> (usize, B::State, f64) {
         let node = self.tree.node(node_idx);
-        let last = node.children.len() - 1;
         // Fork + advance are both state preparation from telemetry's
         // point of view: one Prep timer covers the pair.
         let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Prep);
-        let mut child_state = if i == last {
+        let mut child_state = if last {
             carrier.take().expect("parent state consumed exactly once")
         } else {
             self.backend.fork_pooled(
@@ -400,11 +426,11 @@ impl<B: Backend> TreeCtx<'_, B> {
     }
 
     /// Finish a leaf: apply the trailing gate segment (fires no site),
-    /// then sample every trajectory ending here on its own Philox
-    /// stream. Duplicate assignments share the prepared state but sample
-    /// from a fork each when the backend's sampling mutates state, so
-    /// their records match what a flat executor draws from a freshly
-    /// prepared state.
+    /// then sample every trajectory ending here whose position is in
+    /// range, each on its own Philox stream. Duplicate assignments share
+    /// the prepared state but sample from a fork each when the backend's
+    /// sampling mutates state, so their records match what a flat
+    /// executor draws from a freshly prepared state.
     fn emit_leaf(
         &self,
         seed: u64,
@@ -414,6 +440,9 @@ impl<B: Backend> TreeCtx<'_, B> {
         out: &mut Vec<(usize, TrajectoryResult)>,
     ) {
         let node = self.tree.node(node_idx);
+        let first = self.leaves.start.max(node.span.start) - node.span.start;
+        let last = self.leaves.end.min(node.span.end) - node.span.start;
+        let leaves = &node.leaves[first..last];
         let choices = &self.plan.trajectories[node.rep].choices;
         let realized = acc * {
             let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Prep);
@@ -421,20 +450,18 @@ impl<B: Backend> TreeCtx<'_, B> {
                 .advance(&mut state, node.depth..self.backend.n_segments(), choices)
         };
         let fork_per_leaf = self.backend.sample_mutates_state();
-        out.reserve(node.leaves.len());
-        if !fork_per_leaf && node.leaves.len() > 1 && realized > 0.0 {
+        out.reserve(leaves.len());
+        if !fork_per_leaf && leaves.len() > 1 && realized > 0.0 {
             // Deduplicated trajectories ending on this state sample in
             // one batched call: per-state caches are shared while each
             // trajectory keeps its own absolute-plan-index Philox
             // stream, so the records stay bitwise identical to the
             // per-leaf loop below.
-            let mut rngs: Vec<PhiloxRng> = node
-                .leaves
+            let mut rngs: Vec<PhiloxRng> = leaves
                 .iter()
                 .map(|&idx| PhiloxRng::for_trajectory(seed, idx as u64))
                 .collect();
-            let mut requests: Vec<(usize, &mut PhiloxRng)> = node
-                .leaves
+            let mut requests: Vec<(usize, &mut PhiloxRng)> = leaves
                 .iter()
                 .zip(rngs.iter_mut())
                 .map(|(&idx, rng)| (self.plan.trajectories[idx].shots, rng))
@@ -443,7 +470,7 @@ impl<B: Backend> TreeCtx<'_, B> {
                 let _t = ptsbe_telemetry::timer(ptsbe_telemetry::Stage::Sample);
                 self.backend.sample_batch(&mut state, &mut requests)
             };
-            for (&idx, shots) in node.leaves.iter().zip(batches) {
+            for (&idx, shots) in leaves.iter().zip(batches) {
                 let traj = &self.plan.trajectories[idx];
                 let mut meta = TrajectoryMeta::from_assignment(self.nc, idx, &traj.choices);
                 meta.realized_prob = realized;
@@ -453,11 +480,11 @@ impl<B: Backend> TreeCtx<'_, B> {
             self.backend.release(state, self.pool);
             return;
         }
-        for (i, &idx) in node.leaves.iter().enumerate() {
+        for (i, &idx) in leaves.iter().enumerate() {
             let traj = &self.plan.trajectories[idx];
             let mut rng = PhiloxRng::for_trajectory(seed, idx as u64);
             let shots = if realized > 0.0 {
-                let mut leaf_state = if !fork_per_leaf || i + 1 == node.leaves.len() {
+                let mut leaf_state = if !fork_per_leaf || i + 1 == leaves.len() {
                     None
                 } else {
                     Some(self.backend.fork_pooled(&state, self.pool))

@@ -3,7 +3,7 @@
 //! Every caller-visible quantity a job needs before its first state
 //! advance — the lowered statevector op stream, the MPS compilation, the
 //! lowered Pauli-frame program with its noiseless reference, and the
-//! plan's prefix tree — is memoized here under *stable content hashes*
+//! plan's prefix tree with its leaf-range split — is memoized here under *stable content hashes*
 //! ([`ptsbe_circuit::hash`]), so repeat jobs skip compile and plan work
 //! entirely. Entries carry their warm state too: each statevector/MPS
 //! entry owns the [`StatePool`] the tree executor forks from, so a warm
@@ -72,6 +72,16 @@ pub struct FrameEntry {
     pub sampler: FrameSampler,
     /// True when no reference measurement was intrinsically random.
     pub deterministic: bool,
+}
+
+/// A plan's prefix tree and the leaf ranges tree-engine jobs run as
+/// chunks, built together once per (circuit, plan) so warm jobs do no
+/// plan work at all.
+pub struct TreeEntry {
+    /// The prefix tree.
+    pub tree: PtsPlanTree,
+    /// [`PtsPlanTree::leaf_chunks`] of `tree`.
+    pub chunks: Vec<std::ops::Range<usize>>,
 }
 
 /// Cache hit/miss counters, by artifact kind.
@@ -163,7 +173,7 @@ pub struct CompileCache<T: Scalar> {
     sv: Shelf<SvEntry<T>>,
     mps: Shelf<MpsEntry<T>>,
     frame: Shelf<FrameEntry>,
-    trees: Shelf<PtsPlanTree>,
+    trees: Shelf<TreeEntry>,
     traits: Mutex<HashMap<u64, CircuitTraits>>,
     /// Byte ceiling across every shelf (`None` = unbounded).
     budget: Option<usize>,
@@ -369,8 +379,8 @@ impl<T: Scalar> CompileCache<T> {
         256 * nc.n_qubits() + 64 * nc.sites().len() + 4096
     }
 
-    fn tree_entry_bytes(tree: &PtsPlanTree) -> usize {
-        128 * tree.n_nodes() + 256
+    fn tree_entry_bytes(entry: &TreeEntry) -> usize {
+        128 * entry.tree.n_nodes() + 16 * entry.chunks.len() + 256
     }
 
     /// Statevector compilation for `nc` (content hash `circuit_hash`)
@@ -506,21 +516,23 @@ impl<T: Scalar> CompileCache<T> {
     }
 
     /// The prefix tree of `plan` against the circuit with hash
-    /// `circuit_hash`.
-    pub fn plan_tree(&self, circuit_hash: u64, plan: &PtsPlan) -> Arc<PtsPlanTree> {
+    /// `circuit_hash`, with its leaf-range split.
+    pub fn plan_tree(&self, circuit_hash: u64, plan: &PtsPlan) -> Arc<TreeEntry> {
         let key = combine(circuit_hash, plan_hash(plan));
         if let Some(hit) = self.trees.get(key, &self.clock) {
             self.tree_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
         self.tree_misses.fetch_add(1, Ordering::Relaxed);
-        let tree = ptsbe_telemetry::spanned(ptsbe_telemetry::Stage::Plan, || {
-            Arc::new(PtsPlanTree::from_plan(plan))
+        let entry = ptsbe_telemetry::spanned(ptsbe_telemetry::Stage::Plan, || {
+            let tree = PtsPlanTree::from_plan(plan);
+            let chunks = tree.leaf_chunks(plan);
+            Arc::new(TreeEntry { tree, chunks })
         });
-        let bytes = Self::tree_entry_bytes(&tree);
+        let bytes = Self::tree_entry_bytes(&entry);
         let out = self
             .trees
-            .put(key, tree, bytes, &self.clock, &self.resident_bytes);
+            .put(key, entry, bytes, &self.clock, &self.resident_bytes);
         self.enforce_budget((3, key));
         out
     }

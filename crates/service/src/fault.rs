@@ -267,8 +267,10 @@ impl FaultConfig {
             && self.decide(SALT_KILL, job_seed, chunk, attempt, self.worker_kill)
     }
 
-    /// Should this MPS-tree chunk fail fatally (structurally)?
-    pub(crate) fn mps_fatal_chunk(&self, job_seed: u64, chunk: u64) -> bool {
+    /// Should chunk `chunk` of an MPS-tree job with seed `job_seed` fail
+    /// fatally (structurally)? Public so a test can pick a config that
+    /// aims the failure at a chosen chunk.
+    pub fn mps_fatal_chunk(&self, job_seed: u64, chunk: u64) -> bool {
         self.decide(SALT_MPS_FATAL, job_seed, chunk, 0, self.mps_fatal)
     }
 

@@ -9,7 +9,7 @@ use ptsbe_math::Scalar;
 use ptsbe_tensornet::MpsConfig;
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -238,9 +238,9 @@ pub(crate) enum ChunkSpec {
         /// Shot count.
         shots: usize,
     },
-    /// The whole plan in one task (tree engines, whose sharing spans the
-    /// full plan).
-    Whole,
+    /// The plan-tree leaves at these depth-first positions (tree
+    /// engines; see [`ptsbe_core::PtsPlanTree::leaf_chunks`]).
+    Leaves(std::ops::Range<usize>),
 }
 
 /// What one emitter push did (the caller folds these into metrics).
@@ -259,8 +259,12 @@ pub(crate) struct PushOutcome {
 }
 
 /// Plan-order reassembly buffer in front of the sink. Workers finish
-/// chunks in any order; records reach the sink in chunk order, which is
-/// what pins the dataset bytes regardless of scheduling.
+/// chunks in any order; records reach the sink in plan order, which is
+/// what pins the dataset bytes regardless of scheduling. Plan-slice
+/// chunks stream: each is written once every earlier chunk is. Leaf-range
+/// chunks of a tree job are not plan slices, so the emitter gathers all
+/// of them and writes their records merged by plan index — nothing of a
+/// tree job reaches the sink before its last chunk arrives.
 ///
 /// Fault-tolerance duties beyond reordering:
 ///
@@ -287,6 +291,9 @@ pub(crate) struct Emitter {
     header_written: bool,
     next: usize,
     pending: BTreeMap<usize, Vec<TrajectoryRecord>>,
+    /// `Some(n)`: hold chunks until all `n` arrived, then write them
+    /// merged by plan index. `None`: stream chunks in index order.
+    gather: Option<usize>,
     finished: bool,
     /// Bounded retries for transient (`Interrupted`) sink writes.
     transient_retry_limit: u32,
@@ -300,16 +307,18 @@ impl Emitter {
             header_written: false,
             next: 0,
             pending: BTreeMap::new(),
+            gather: None,
             finished: false,
             transient_retry_limit: 8,
         }
     }
 
-    /// Stage the dataset header (written lazily with the first commit).
-    /// Restaging is allowed until the header reaches the sink — the
-    /// engine-degradation path replaces the failed engine's header with
-    /// the fallback's.
-    pub(crate) fn stage_header(&mut self, header: DatasetHeader) -> io::Result<()> {
+    /// Stage the dataset header (written lazily with the first commit)
+    /// and how chunks commit (`gather`, see the field). Restaging is
+    /// allowed until the header reaches the sink — the engine-degradation
+    /// path replaces the failed engine's header with the fallback's and
+    /// drops whatever the failed route's chunks had parked.
+    pub(crate) fn stage(&mut self, header: DatasetHeader, gather: Option<usize>) -> io::Result<()> {
         if self.header_written {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -317,6 +326,8 @@ impl Emitter {
             ));
         }
         self.header = Some(header);
+        self.gather = gather;
+        self.pending.clear();
         Ok(())
     }
 
@@ -359,9 +370,11 @@ impl Emitter {
         }
     }
 
-    /// Park `records` as chunk `idx`, then drain every in-order chunk to
-    /// the sink. Duplicate deliveries of an already-pushed index are
-    /// dropped (see the exactly-once note on the type).
+    /// Park `records` as chunk `idx`, then write whatever the commit
+    /// order allows: every in-order chunk when streaming, everything at
+    /// once when the last gathered chunk arrives. Duplicate deliveries of
+    /// an already-pushed index are dropped (see the exactly-once note on
+    /// the type).
     pub(crate) fn push(
         &mut self,
         idx: usize,
@@ -375,16 +388,33 @@ impl Emitter {
         }
         self.pending.insert(idx, records);
         let mut out = PushOutcome::default();
-        while let Some(batch) = self.pending.remove(&self.next) {
-            self.write_header_if_needed()?;
-            for rec in &batch {
-                self.write_with_retry(rec, &mut out.write_retries)?;
-                out.shots += rec.shots.len() as u64;
+        if let Some(n) = self.gather {
+            if self.pending.len() == n {
+                let mut merged: Vec<TrajectoryRecord> = std::mem::take(&mut self.pending)
+                    .into_values()
+                    .flatten()
+                    .collect();
+                merged.sort_unstable_by_key(|r| r.meta.traj_id);
+                self.write_batch(&merged, &mut out)?;
+                self.next = n;
             }
-            out.records += batch.len() as u64;
+            return Ok(out);
+        }
+        while let Some(batch) = self.pending.remove(&self.next) {
+            self.write_batch(&batch, &mut out)?;
             self.next += 1;
         }
         Ok(out)
+    }
+
+    fn write_batch(&mut self, batch: &[TrajectoryRecord], out: &mut PushOutcome) -> io::Result<()> {
+        self.write_header_if_needed()?;
+        for rec in batch {
+            self.write_with_retry(rec, &mut out.write_retries)?;
+            out.shots += rec.shots.len() as u64;
+        }
+        out.records += batch.len() as u64;
+        Ok(())
     }
 
     /// Finalize the sink (idempotent): flush the header if nothing was
@@ -400,6 +430,23 @@ impl Emitter {
     }
 }
 
+/// Per-job chunk accounting for the current route.
+#[derive(Default)]
+pub(crate) struct ChunkLedger {
+    /// Route generation: bumped every time the job's chunks are
+    /// (re)enqueued. Chunks carry the generation they were cut for, so
+    /// after engine degradation re-plans a job, chunks of the superseded
+    /// route drain as no-ops — neither delivered nor accounted.
+    pub(crate) generation: u32,
+    /// Per-chunk accounting bitmap: a chunk index counts toward `done`
+    /// exactly once even when worker death re-queues a chunk that
+    /// already completed (the exactly-once counterpart of the emitter's
+    /// delivery dedupe).
+    pub(crate) accounted: Vec<bool>,
+    /// Chunks accounted so far; the job settles at `accounted.len()`.
+    pub(crate) done: usize,
+}
+
 /// Shared job state (handle side + worker side).
 pub(crate) struct JobInner<T: Scalar> {
     pub(crate) id: u64,
@@ -409,16 +456,12 @@ pub(crate) struct JobInner<T: Scalar> {
     pub(crate) route: Mutex<Option<RouteDecision>>,
     pub(crate) exec: Mutex<Option<Arc<EngineExec<T>>>>,
     pub(crate) emitter: Mutex<Emitter>,
-    pub(crate) chunks_total: AtomicUsize,
-    pub(crate) chunks_done: AtomicUsize,
-    /// Per-chunk accounting bitmap: a chunk index contributes to
-    /// `chunks_done` exactly once even when worker death re-queues a
-    /// chunk that already completed (the exactly-once counterpart of
-    /// the emitter's delivery dedupe).
-    pub(crate) chunk_accounted: Mutex<Vec<bool>>,
+    pub(crate) ledger: Mutex<ChunkLedger>,
     /// Engine degradation is single-shot: a job re-routes to its dense
-    /// fallback at most once.
-    pub(crate) degraded: AtomicBool,
+    /// fallback at most once. The lock also serializes degradation
+    /// attempts, so a chunk that fails while another re-plans the job
+    /// waits and then finds its route superseded.
+    pub(crate) degraded: Mutex<bool>,
     pub(crate) records_emitted: AtomicU64,
     pub(crate) shots_emitted: AtomicU64,
     pub(crate) error: Mutex<Option<String>>,
@@ -437,10 +480,8 @@ impl<T: Scalar> JobInner<T> {
             route: Mutex::new(None),
             exec: Mutex::new(None),
             emitter: Mutex::new(Emitter::new(sink)),
-            chunks_total: AtomicUsize::new(0),
-            chunks_done: AtomicUsize::new(0),
-            chunk_accounted: Mutex::new(Vec::new()),
-            degraded: AtomicBool::new(false),
+            ledger: Mutex::new(ChunkLedger::default()),
+            degraded: Mutex::new(false),
             records_emitted: AtomicU64::new(0),
             shots_emitted: AtomicU64::new(0),
             error: Mutex::new(None),
@@ -452,6 +493,15 @@ impl<T: Scalar> JobInner<T> {
 
     pub(crate) fn status(&self) -> JobStatus {
         JobStatus::from_u8(self.status.load(Ordering::Acquire))
+    }
+
+    /// True while `generation` is the job's current route generation.
+    pub(crate) fn is_current(&self, generation: u32) -> bool {
+        self.ledger
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .generation
+            == generation
     }
 
     /// Move to a non-terminal state (Queued → Running). Never overwrites

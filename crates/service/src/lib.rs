@@ -20,7 +20,8 @@
 //!   [`ptsbe_statevector::exec::Compiled`] streams (with their
 //!   [`ptsbe_circuit::FusionStats`] and a warm
 //!   [`ptsbe_core::StatePool`]), MPS compilations, lowered Pauli-frame
-//!   programs, and [`ptsbe_core::PtsPlanTree`]s keyed by (circuit, plan).
+//!   programs, and [`ptsbe_core::PtsPlanTree`]s with their leaf-range
+//!   splits ([`cache::TreeEntry`]) keyed by (circuit, plan).
 //!   A warm repeat job performs zero compile/plan work — the hit/miss
 //!   counters prove it.
 //! - [`router`] — adaptive engine choice per job: Clifford circuits under
@@ -71,7 +72,7 @@ pub mod metrics;
 pub mod router;
 pub mod service;
 
-pub use cache::{CacheStats, CircuitTraits, CompileCache};
+pub use cache::{CacheStats, CircuitTraits, CompileCache, TreeEntry};
 pub use fault::{FaultConfig, InjectedFault};
 pub use job::{JobHandle, JobReport, JobSpec, JobStatus, ServiceError};
 pub use metrics::{MetricsSnapshot, RateWindow};

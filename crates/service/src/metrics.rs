@@ -13,6 +13,8 @@ use std::time::Instant;
 pub(crate) struct ServiceMetrics {
     pub(crate) started_at: Instant,
     pub(crate) jobs_submitted: AtomicU64,
+    /// Submissions refused at admission as `ServiceError::InvalidJob`.
+    pub(crate) jobs_refused: AtomicU64,
     pub(crate) jobs_done: AtomicU64,
     pub(crate) jobs_failed: AtomicU64,
     pub(crate) jobs_cancelled: AtomicU64,
@@ -51,6 +53,7 @@ impl ServiceMetrics {
         Self {
             started_at: Instant::now(),
             jobs_submitted: AtomicU64::new(0),
+            jobs_refused: AtomicU64::new(0),
             jobs_done: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             jobs_cancelled: AtomicU64::new(0),
@@ -104,6 +107,10 @@ pub struct EngineCensus {
 pub struct MetricsSnapshot {
     /// Jobs admitted since start.
     pub jobs_submitted: u64,
+    /// Submissions refused at admission as invalid
+    /// ([`crate::ServiceError::InvalidJob`]); never admitted, so not in
+    /// `jobs_submitted`.
+    pub jobs_refused: u64,
     /// Jobs finished successfully.
     pub jobs_done: u64,
     /// Jobs failed.
@@ -206,6 +213,11 @@ impl MetricsSnapshot {
                 "ptsbe_jobs_submitted",
                 "Jobs admitted since start.",
                 self.jobs_submitted,
+            ),
+            c(
+                "ptsbe_jobs_refused",
+                "Submissions refused at admission as invalid.",
+                self.jobs_refused,
             ),
             c(
                 "ptsbe_jobs_done",
@@ -341,6 +353,7 @@ impl MetricsSnapshot {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         Self {
             jobs_submitted: load(&m.jobs_submitted),
+            jobs_refused: load(&m.jobs_refused),
             jobs_done: load(&m.jobs_done),
             jobs_failed: load(&m.jobs_failed),
             jobs_cancelled: load(&m.jobs_cancelled),
@@ -415,6 +428,7 @@ mod tests {
         let names: std::collections::HashSet<&str> = fams.iter().map(|m| m.name).collect();
         for expected in [
             "ptsbe_jobs_submitted",
+            "ptsbe_jobs_refused",
             "ptsbe_jobs_done",
             "ptsbe_jobs_failed",
             "ptsbe_jobs_cancelled",

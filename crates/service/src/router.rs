@@ -18,10 +18,9 @@
 //! throughput (exactly Stim's trade). Jobs that need assignment-exact
 //! provenance force a statevector engine via [`EnginePolicy::Force`].
 
-use crate::cache::{CompileCache, FrameEntry, MpsEntry, SvEntry};
+use crate::cache::{CompileCache, FrameEntry, MpsEntry, SvEntry, TreeEntry};
 use crate::job::JobSpec;
 use crate::service::ServiceConfig;
-use ptsbe_core::PtsPlanTree;
 use ptsbe_math::Scalar;
 use std::sync::Arc;
 
@@ -230,13 +229,13 @@ pub(crate) enum EngineExec<T: Scalar> {
     Frame(Arc<FrameEntry>),
     Tree {
         entry: Arc<SvEntry<T>>,
-        tree: Arc<PtsPlanTree>,
+        tree: Arc<TreeEntry>,
     },
     BatchMajor(Arc<SvEntry<T>>),
     Flat(Arc<SvEntry<T>>),
     MpsTree {
         entry: Arc<MpsEntry<T>>,
-        tree: Arc<PtsPlanTree>,
+        tree: Arc<TreeEntry>,
     },
 }
 
@@ -493,7 +492,7 @@ pub(crate) fn route_job<T: Scalar>(
             }
             // 3. Sharing decides between the tree walk and lane sweeps.
             let tree = cache.plan_tree(circuit_hash, &spec.plan);
-            let sharing_ratio = tree.sharing_ratio();
+            let sharing_ratio = tree.tree.sharing_ratio();
             let entry = cache.sv(nc, circuit_hash, spec.fuse)?;
             if sharing_ratio >= cfg.sharing_threshold {
                 Ok((
@@ -536,7 +535,7 @@ fn route_dense<T: Scalar>(
     let nc = spec.circuit.as_ref();
     let tree = cache.plan_tree(circuit_hash, &spec.plan);
     let entry = cache.sv(nc, circuit_hash, spec.fuse)?;
-    if tree.sharing_ratio() >= cfg.sharing_threshold {
+    if tree.tree.sharing_ratio() >= cfg.sharing_threshold {
         Ok((
             RouteDecision {
                 engine: EngineKind::Tree,

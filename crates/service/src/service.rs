@@ -7,11 +7,20 @@
 //! cache, route an engine, stage the dataset header, and split the work
 //! into chunks. Chunks then become independent queue tasks any worker
 //! may claim; a per-job reorder buffer ([`crate::job::Emitter`]) commits
-//! finished chunks to the sink in chunk order. Chunk geometry is a pure
+//! finished chunks to the sink in plan order. Chunk geometry is a pure
 //! function of the job spec (never of worker count or queue state), and
 //! every chunk keys its Philox streams by absolute plan/chunk index, so
 //! the delivered bytes are invariant under scheduling — the property the
 //! determinism suite pins across worker counts {1, 4, 8}.
+//!
+//! Chunks come in three shapes: plan slices (flat, batch-major), shot
+//! blocks (frame), and leaf ranges of the plan tree (the two tree
+//! engines). A tree job runs the cached [`PtsPlanTree::leaf_chunks`]
+//! split: each chunk replays the shared prefix down to its first leaf
+//! and walks its own subtrees, so one job spreads over every worker the
+//! way the paper spreads trajectories over GPUs. Leaf ranges are not
+//! plan slices, so the emitter gathers a tree job's chunks and writes
+//! them merged by plan index once the last one arrives.
 //!
 //! Each worker is one core: it runs every task under a one-thread rayon
 //! budget (see `worker_loop`), so the worker pool is the only parallelism.
@@ -35,7 +44,10 @@
 //!   the MPS engine re-routes the job once to a dense fallback
 //!   (recorded as [`RouteReason::EngineFallback`](crate::router::RouteReason)),
 //!   provided nothing reached the sink yet — guaranteed for MPS jobs,
-//!   which run as a single chunk behind a lazily-written header.
+//!   whose leaf-range chunks the emitter gathers behind a lazily-written
+//!   header. Chunks carry the route generation they were cut for; the
+//!   re-plan opens a new one, so the failed route's other chunks drain
+//!   as no-ops, neither delivered nor accounted.
 //! - **Deadlines.** [`crate::JobSpec::deadline`] is enforced
 //!   cooperatively at chunk boundaries; an expired job transitions
 //!   [`JobStatus::TimedOut`] within one chunk of the expiry and its
@@ -206,6 +218,9 @@ enum Task<T: Scalar> {
         job: Arc<JobInner<T>>,
         index: usize,
         chunk: ChunkSpec,
+        /// Route generation the chunk was cut for (see
+        /// [`crate::job::ChunkLedger::generation`]).
+        generation: u32,
         /// Execution-attempt ordinal (preserved across a worker death so
         /// requeued chunks advance through the fault plan instead of
         /// deterministically re-dying forever).
@@ -221,11 +236,13 @@ impl<T: Scalar> Clone for Task<T> {
                 job,
                 index,
                 chunk,
+                generation,
                 attempt,
             } => Task::Chunk {
                 job: Arc::clone(job),
                 index: *index,
                 chunk: chunk.clone(),
+                generation: *generation,
                 attempt: *attempt,
             },
         }
@@ -348,7 +365,13 @@ impl<T: Scalar> ShotService<T> {
         sink: Box<dyn RecordSink>,
         block: bool,
     ) -> Result<JobHandle<T>, ServiceError> {
-        validate(&spec)?;
+        if let Err(e) = validate(&spec) {
+            self.shared
+                .metrics
+                .jobs_refused
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
         }
@@ -505,15 +528,18 @@ fn supervisor_loop<T: Scalar>(shared: Arc<Shared<T>>, table: WorkerTable) {
         };
         for (slot, h) in dead {
             let _ = h.join(); // reap (and discard) the panic payload
+                              // Counted before the requeue: once the task is back on the
+                              // queue its job can finish, and a caller reading metrics
+                              // after that must see the respawn.
+            shared
+                .metrics
+                .workers_respawned
+                .fetch_add(1, Ordering::Relaxed);
             if let Some(task) = lock_healed(&shared.in_flight)[slot].take() {
                 lock_healed(&shared.queue).push_back(task);
                 shared.queue_cv.notify_one();
             }
             lock_healed(&table)[slot] = Some(spawn_worker(&shared, slot));
-            shared
-                .metrics
-                .workers_respawned
-                .fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -581,8 +607,9 @@ fn claim_tasks<T: Scalar>(shared: &Arc<Shared<T>>, slot: usize) {
                 job,
                 index,
                 chunk,
+                generation,
                 attempt,
-            } => run_chunk(shared, job, index, chunk, attempt),
+            } => run_chunk(shared, job, index, chunk, generation, attempt),
         }
         lock_healed(&shared.in_flight)[slot] = None;
     }
@@ -662,11 +689,11 @@ fn plan_job<T: Scalar>(shared: &Arc<Shared<T>>, job: Arc<JobInner<T>>) {
             .fetch_add(1, Ordering::Relaxed);
     }
     let header = make_header::<T>(&job.spec, decision.engine, exec.n_measured());
-    let chunks = split_chunks(&job.spec, &decision);
+    let chunks = split_chunks(&job.spec, &decision, &exec);
     install_route(&job, decision, exec);
     let staged = match job.emitter() {
         Ok(mut em) => em
-            .stage_header(header)
+            .stage(header, gather(&chunks))
             .map_err(|e| format!("sink begin failed: {e}")),
         Err(se) => Err(se.to_string()),
     };
@@ -699,14 +726,20 @@ fn install_route<T: Scalar>(job: &Arc<JobInner<T>>, decision: RouteDecision, exe
     *lock_healed(&job.exec) = Some(Arc::new(exec));
 }
 
+/// Open a new route generation for `chunks` and queue them: chunks of
+/// any earlier generation stop counting from here on.
 fn enqueue_chunks<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
     chunks: Vec<ChunkSpec>,
 ) {
-    *lock_healed(&job.chunk_accounted) = vec![false; chunks.len()];
-    job.chunks_done.store(0, Ordering::Release);
-    job.chunks_total.store(chunks.len(), Ordering::Release);
+    let generation = {
+        let mut ledger = lock_healed(&job.ledger);
+        ledger.generation += 1;
+        ledger.accounted = vec![false; chunks.len()];
+        ledger.done = 0;
+        ledger.generation
+    };
     {
         let mut q = lock_healed(&shared.queue);
         for (index, chunk) in chunks.into_iter().enumerate() {
@@ -714,6 +747,7 @@ fn enqueue_chunks<T: Scalar>(
                 job: Arc::clone(job),
                 index,
                 chunk,
+                generation,
                 attempt: 0,
             });
         }
@@ -721,11 +755,23 @@ fn enqueue_chunks<T: Scalar>(
     shared.queue_cv.notify_all();
 }
 
+/// How the emitter commits `chunks`: leaf ranges of a plan tree are not
+/// plan slices, so they are gathered and merged by plan index.
+fn gather(chunks: &[ChunkSpec]) -> Option<usize> {
+    matches!(chunks.first(), Some(ChunkSpec::Leaves(_))).then_some(chunks.len())
+}
+
 /// Chunk geometry: a pure function of (spec, route decision) so
-/// scheduling can never shift record boundaries.
-fn split_chunks(spec: &JobSpec, decision: &crate::router::RouteDecision) -> Vec<ChunkSpec> {
-    match decision.engine {
-        EngineKind::Frame => {
+/// scheduling can never shift record boundaries. Tree engines run the
+/// cached leaf-range split of the plan tree, which depends on the plan
+/// alone.
+fn split_chunks<T: Scalar>(
+    spec: &JobSpec,
+    decision: &crate::router::RouteDecision,
+    exec: &EngineExec<T>,
+) -> Vec<ChunkSpec> {
+    match exec {
+        EngineExec::Frame(_) => {
             let total = spec.plan.total_shots();
             if total == 0 {
                 return Vec::new();
@@ -747,16 +793,10 @@ fn split_chunks(spec: &JobSpec, decision: &crate::router::RouteDecision) -> Vec<
             }
             chunks
         }
-        EngineKind::Tree | EngineKind::MpsTree => {
-            // Prefix sharing spans the whole plan: one task, run on its
-            // worker's one-thread budget.
-            if spec.plan.trajectories.is_empty() {
-                Vec::new()
-            } else {
-                vec![ChunkSpec::Whole]
-            }
+        EngineExec::Tree { tree, .. } | EngineExec::MpsTree { tree, .. } => {
+            tree.chunks.iter().cloned().map(ChunkSpec::Leaves).collect()
         }
-        EngineKind::BatchMajor | EngineKind::Flat => {
+        EngineExec::BatchMajor(_) | EngineExec::Flat(_) => {
             let n = spec.plan.trajectories.len();
             if n == 0 {
                 return Vec::new();
@@ -795,8 +835,14 @@ fn run_chunk<T: Scalar>(
     job: Arc<JobInner<T>>,
     index: usize,
     chunk: ChunkSpec,
+    generation: u32,
     first_attempt: u32,
 ) {
+    if !job.is_current(generation) {
+        // Cut for a route that engine degradation replaced: a no-op that
+        // must not count against the new route's chunks.
+        return;
+    }
     let mut drain = job.cancelled.load(Ordering::Acquire) || job.status().is_terminal();
     if !drain && job.deadline_exceeded() {
         // Cooperative deadline enforcement: the first chunk boundary
@@ -871,9 +917,9 @@ fn run_chunk<T: Scalar>(
             }
         };
         match outcome {
-            Ok(records) => deliver(shared, &job, index, records),
+            Ok(records) => deliver(shared, &job, index, generation, records),
             Err(msg) => {
-                if try_degrade(shared, &job) {
+                if try_degrade(shared, &job, generation) {
                     // The job was re-planned onto a fallback engine and
                     // fresh chunks were queued; this chunk is
                     // superseded — no accounting against the new plan.
@@ -883,27 +929,33 @@ fn run_chunk<T: Scalar>(
             }
         }
     }
-    account_chunk(shared, &job, index);
+    account_chunk(shared, &job, index, generation);
 }
 
 /// Push a finished chunk through the reorder buffer and fold the
-/// delivery into job + service counters.
+/// delivery into job + service counters. A chunk of a superseded route
+/// generation is dropped: the generation is checked under the emitter
+/// lock, which degradation holds while it restages the emitter.
 fn deliver<T: Scalar>(
     shared: &Arc<Shared<T>>,
     job: &Arc<JobInner<T>>,
     index: usize,
+    generation: u32,
     records: Vec<TrajectoryRecord>,
 ) {
-    for r in &records {
-        if let Some(t) = &r.meta.truncation {
-            shared.metrics.note_truncation(t);
-        }
-    }
     let pushed = match job.emitter() {
-        Ok(mut em) => spanned(Stage::SinkWrite, || {
-            em.push(index, records)
-                .map_err(|e| format!("sink write failed: {e}"))
-        }),
+        Ok(_) if !job.is_current(generation) => return,
+        Ok(mut em) => {
+            for r in &records {
+                if let Some(t) = &r.meta.truncation {
+                    shared.metrics.note_truncation(t);
+                }
+            }
+            spanned(Stage::SinkWrite, || {
+                em.push(index, records)
+                    .map_err(|e| format!("sink write failed: {e}"))
+            })
+        }
         Err(se) => Err(se.to_string()),
     };
     match pushed {
@@ -937,24 +989,33 @@ fn deliver<T: Scalar>(
     }
 }
 
-/// Graceful engine degradation: when a chunk exhausts its retry budget
-/// on the MPS engine *before anything reached the sink*, re-plan the
-/// job once onto a dense fallback (the route records the failed
-/// engine). MPS jobs run as a single `Whole` chunk behind a lazy
-/// header, so the untouched-sink precondition holds exactly when this
-/// path is reachable.
-fn try_degrade<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) -> bool {
+/// Graceful engine degradation: when a chunk of generation
+/// `generation` exhausts its retry budget on the MPS engine *before
+/// anything reached the sink*, re-plan the job once onto a dense
+/// fallback (the route records the failed engine). MPS jobs run as
+/// leaf-range chunks the emitter gathers behind a lazy header, so the
+/// untouched-sink precondition holds whenever this path is reachable.
+///
+/// Returns `true` when the chunk's route is superseded — by this call
+/// or by a degradation that ran while the chunk executed — so the
+/// caller drops the chunk without accounting it.
+fn try_degrade<T: Scalar>(
+    shared: &Arc<Shared<T>>,
+    job: &Arc<JobInner<T>>,
+    generation: u32,
+) -> bool {
+    let mut degraded = lock_healed(&job.degraded);
+    if !job.is_current(generation) {
+        return true;
+    }
     let from = match lock_healed(&job.route).as_ref().map(|r| r.engine) {
         Some(EngineKind::MpsTree) => EngineKind::MpsTree,
         _ => return false,
     };
-    if job.degraded.swap(true, Ordering::AcqRel) {
+    if *degraded {
         return false; // single-shot: the fallback gets no fallback
     }
-    match job.emitter() {
-        Ok(em) if em.untouched() => {}
-        _ => return false,
-    }
+    *degraded = true;
     let planned = catch_unwind(AssertUnwindSafe(|| {
         let circuit_hash = job.spec.circuit.content_hash();
         degrade_route(&shared.cache, &shared.cfg, &job.spec, circuit_hash, from)
@@ -964,8 +1025,18 @@ fn try_degrade<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) -> bo
         _ => return false,
     };
     let header = make_header::<T>(&job.spec, decision.engine, exec.n_measured());
-    let chunks = split_chunks(&job.spec, &decision);
+    let chunks = split_chunks(&job.spec, &decision, &exec);
     if chunks.is_empty() {
+        return false;
+    }
+    // Restage, re-route and open the new generation under one emitter
+    // lock: a chunk of the failed route still running delivers under
+    // that lock too, so it either lands before the restage drops it or
+    // sees its generation superseded.
+    let Ok(mut em) = job.emitter() else {
+        return false;
+    };
+    if !em.untouched() || em.stage(header, gather(&chunks)).is_err() {
         return false;
     }
     shared
@@ -974,35 +1045,37 @@ fn try_degrade<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>) -> bo
         .fetch_add(1, Ordering::Relaxed);
     shared.metrics.engine_jobs[decision.engine.index()].fetch_add(1, Ordering::Relaxed);
     install_route(job, decision, exec);
-    match job.emitter() {
-        Ok(mut em) => {
-            if em.stage_header(header).is_err() {
-                return false;
-            }
-        }
-        Err(_) => return false,
-    }
     enqueue_chunks(shared, job, chunks);
+    drop(em);
     true
 }
 
 /// Exactly-once chunk accounting and end-of-job settlement. The bitmap
 /// makes redundant re-executions (worker died between delivery and slot
-/// clear) count once; the terminal settlement CASes the status — first
-/// terminal transition wins — and relies on the emitter's idempotent
-/// finish, so the cancel/fail race can neither overwrite a `Failed`
-/// verdict nor double-finalize the sink.
-fn account_chunk<T: Scalar>(shared: &Arc<Shared<T>>, job: &Arc<JobInner<T>>, index: usize) {
+/// clear) count once, and chunks of a superseded route generation not at
+/// all; the terminal settlement CASes the status — first terminal
+/// transition wins — and relies on the emitter's idempotent finish, so
+/// the cancel/fail race can neither overwrite a `Failed` verdict nor
+/// double-finalize the sink.
+fn account_chunk<T: Scalar>(
+    shared: &Arc<Shared<T>>,
+    job: &Arc<JobInner<T>>,
+    index: usize,
+    generation: u32,
+) {
     {
-        let mut acc = lock_healed(&job.chunk_accounted);
-        if index >= acc.len() || acc[index] {
+        let mut ledger = lock_healed(&job.ledger);
+        if ledger.generation != generation
+            || index >= ledger.accounted.len()
+            || ledger.accounted[index]
+        {
             return;
         }
-        acc[index] = true;
-    }
-    let done = job.chunks_done.fetch_add(1, Ordering::AcqRel) + 1;
-    if done != job.chunks_total.load(Ordering::Acquire) {
-        return;
+        ledger.accounted[index] = true;
+        ledger.done += 1;
+        if ledger.done != ledger.accounted.len() {
+            return;
+        }
     }
     if !job.status().is_terminal() {
         if job.cancelled.load(Ordering::Acquire) {
@@ -1088,11 +1161,11 @@ fn execute_chunk<T: Scalar>(
             };
             to_records(ex.execute_slice(&entry.backend, &spec.circuit, &spec.plan, range.clone()))
         }
-        (EngineExec::Tree { entry, tree }, ChunkSpec::Whole) => {
-            tree_records(spec, &entry.backend, tree, &entry.pool)
+        (EngineExec::Tree { entry, tree }, ChunkSpec::Leaves(leaves)) => {
+            tree_records(spec, &entry.backend, &tree.tree, &entry.pool, leaves)
         }
-        (EngineExec::MpsTree { entry, tree }, ChunkSpec::Whole) => {
-            tree_records(spec, &entry.backend, tree, &entry.pool)
+        (EngineExec::MpsTree { entry, tree }, ChunkSpec::Leaves(leaves)) => {
+            tree_records(spec, &entry.backend, &tree.tree, &entry.pool, leaves)
         }
         _ => {
             return Err("internal: chunk shape does not match the routed engine".to_string());
@@ -1101,18 +1174,27 @@ fn execute_chunk<T: Scalar>(
     Ok(records)
 }
 
-/// Walk the whole plan tree on `backend`, forking from its warm pool.
+/// Walk one leaf range of the plan tree on `backend`, forking from its
+/// warm pool.
 fn tree_records<B: Backend>(
     spec: &JobSpec,
     backend: &B,
     tree: &PtsPlanTree,
     pool: &StatePool<B::State>,
+    leaves: &std::ops::Range<usize>,
 ) -> Vec<TrajectoryRecord> {
     let ex = TreeExecutor {
         seed: spec.seed,
         parallel: false,
     };
-    to_records(ex.execute_tree_pooled(backend, &spec.circuit, &spec.plan, tree, pool))
+    to_records(ex.execute_tree_range(
+        backend,
+        &spec.circuit,
+        &spec.plan,
+        tree,
+        pool,
+        leaves.clone(),
+    ))
 }
 
 fn to_records(batch: BatchResult) -> Vec<TrajectoryRecord> {

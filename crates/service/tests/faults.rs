@@ -4,12 +4,12 @@
 //! identical to the fault-free run.
 
 use ptsbe_circuit::{channels, Circuit, NoiseModel, NoisyCircuit};
-use ptsbe_core::{ProbabilisticPts, PtsPlan, PtsSampler};
+use ptsbe_core::{ProbabilisticPts, PtsPlan, PtsPlanTree, PtsSampler};
 use ptsbe_dataset::{DatasetHeader, JsonlSink, RecordSink, SharedBuffer, TrajectoryRecord};
 use ptsbe_rng::PhiloxRng;
 use ptsbe_service::{
-    EngineKind, FaultConfig, JobReport, JobSpec, JobStatus, MetricsSnapshot, ServiceConfig,
-    ShotService,
+    EngineKind, EnginePolicy, FaultConfig, JobReport, JobSpec, JobStatus, MetricsSnapshot,
+    ServiceConfig, ShotService,
 };
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,13 +86,38 @@ fn run_with(spec: JobSpec, cfg: ServiceConfig) -> (Vec<u8>, JobReport, MetricsSn
     (buf.bytes(), report, metrics)
 }
 
+/// A low-noise plan the tree engine splits into several leaf-range
+/// chunks.
+fn tree_plan(nc: &NoisyCircuit) -> PtsPlan {
+    let plan = plan_for(nc, 120, 20, 11);
+    let chunks = PtsPlanTree::from_plan(&plan).leaf_chunks(&plan);
+    assert!(chunks.len() > 1, "the plan must split: {chunks:?}");
+    plan
+}
+
+/// A multi-chunk sv-tree job.
+fn tree_spec(seed: u64) -> JobSpec {
+    let nc = t_circuit(0.02);
+    let plan = tree_plan(&nc);
+    JobSpec::new("faults-tree", nc, plan, seed).with_engine(EnginePolicy::Force(EngineKind::Tree))
+}
+
 // ---------------------------------------------------------------------------
 // Byte identity under every preset
 
 #[test]
 fn every_preset_delivers_identical_bytes() {
-    let (baseline, report, _) = run_with(chunked_spec(42), faultless(2));
-    assert!(report.status.is_success(), "{report:?}");
+    for (label, spec) in [
+        ("batch-major", chunked_spec(42)),
+        ("sv-tree", tree_spec(42)),
+    ] {
+        every_preset_delivers_identical_bytes_for(label, spec);
+    }
+}
+
+fn every_preset_delivers_identical_bytes_for(label: &str, spec: JobSpec) {
+    let (baseline, report, _) = run_with(spec.clone(), faultless(2));
+    assert!(report.status.is_success(), "{label}: {report:?}");
     assert!(!baseline.is_empty());
 
     let presets: &[(&str, FaultConfig)] = &[
@@ -108,14 +133,14 @@ fn every_preset_delivers_identical_bytes() {
         ),
     ];
     for (name, f) in presets {
-        let (bytes, report, metrics) = run_with(chunked_spec(42), faulted(f.clone(), 3));
+        let (bytes, report, metrics) = run_with(spec.clone(), faulted(f.clone(), 3));
         assert!(
             report.status.is_success(),
-            "{name}: job must recover, got {report:?}"
+            "{label}/{name}: job must recover, got {report:?}"
         );
         assert_eq!(
             bytes, baseline,
-            "{name}: faulted bytes must match the fault-free run"
+            "{label}/{name}: faulted bytes must match the fault-free run"
         );
         match *name {
             "panic-storm" => assert!(metrics.chunk_retries > 0, "storm must count retries"),
@@ -228,6 +253,62 @@ fn fatal_mps_failure_degrades_to_dense_fallback() {
     );
     assert_eq!(metrics.engine_fallbacks, 1);
     assert_eq!(bytes, dense_bytes, "degraded bytes must match a dense run");
+}
+
+/// The MPS job splits into several chunks and only a later one fails
+/// fatally, so chunks of the failed route are queued, running or already
+/// delivered when the job re-plans. It must degrade exactly once, drain
+/// the stale MPS chunks without failing or settling the job, and deliver
+/// a dense run's bytes — on the dense tree engine (leaf chunks again) and
+/// on batch-major (plan-slice chunks, which a stale leaf chunk does not
+/// fit).
+#[test]
+fn fatal_failure_on_a_later_mps_chunk_degrades_once() {
+    let nc = t_circuit(0.02);
+    let plan = tree_plan(&nc);
+    let n_chunks = PtsPlanTree::from_plan(&plan).leaf_chunks(&plan).len();
+    let seed = 23;
+    // A fault plan that spares chunk 0 and fails some later chunk.
+    let faults = (0..1000u64)
+        .map(|s| FaultConfig {
+            seed: s,
+            mps_fatal: 0.3,
+            ..FaultConfig::default()
+        })
+        .find(|f| {
+            !f.mps_fatal_chunk(seed, 0) && (1..n_chunks as u64).any(|c| f.mps_fatal_chunk(seed, c))
+        })
+        .expect("some fault seed aims at a later chunk");
+    for fallback in [EngineKind::Tree, EngineKind::BatchMajor] {
+        // Sharing decides the dense fallback: 0 forces the tree walk, 1
+        // (unreachable) forces batch-major.
+        let sharing_threshold = if fallback == EngineKind::Tree {
+            0.0
+        } else {
+            1.0
+        };
+        let spec = JobSpec::new("degrade-late", nc.clone(), plan.clone(), seed);
+        let dense_cfg = ServiceConfig {
+            sharing_threshold,
+            ..faultless(1)
+        };
+        let (dense_bytes, dense_report, _) = run_with(spec.clone(), dense_cfg);
+        assert_eq!(dense_report.engine, Some(fallback), "{dense_report:?}");
+        for workers in [1usize, 2] {
+            let cfg = ServiceConfig {
+                mps_qubit_threshold: 2,
+                sharing_threshold,
+                ..faulted(faults.clone(), workers)
+            };
+            let (bytes, report, metrics) = run_with(spec.clone(), cfg);
+            let label = format!("{fallback:?}/workers={workers}");
+            assert_eq!(report.status, JobStatus::Done, "{label}: {report:?}");
+            assert_eq!(report.engine, Some(fallback), "{label}");
+            assert_eq!(metrics.engine_fallbacks, 1, "{label}");
+            assert_eq!(metrics.engines.mps_tree, 1, "{label}");
+            assert_eq!(bytes, dense_bytes, "{label}: bytes must match a dense run");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

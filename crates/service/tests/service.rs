@@ -553,6 +553,74 @@ fn bytes_identical_across_worker_counts_all_engines() {
     }
 }
 
+/// Tree engines split a job into leaf ranges of the plan tree. A job
+/// that splits into several chunks delivers the same bytes on 1, 2 and 4
+/// workers, and those bytes are what a direct whole-tree executor call
+/// writes — for the statevector and the MPS tree engine.
+#[test]
+fn tree_chunks_are_byte_identical_across_worker_counts() {
+    let nc = Arc::new(t_circuit(0.02));
+    let plan = Arc::new(plan_for(&nc, 120, 40, false, 25));
+    let chunks = ptsbe_core::PtsPlanTree::from_plan(&plan).leaf_chunks(&plan);
+    assert!(chunks.len() > 1, "the job must split: {chunks:?}");
+    let seed = 17;
+    for engine in [EngineKind::Tree, EngineKind::MpsTree] {
+        let spec = JobSpec::new("tree-chunks", Arc::clone(&nc), Arc::clone(&plan), seed)
+            .with_engine(EnginePolicy::Force(engine));
+        let mut reference: Option<Vec<u8>> = None;
+        for workers in [1usize, 2, 4] {
+            let (bytes, report) = run_jsonl(spec.clone(), workers);
+            let label = format!("{engine:?}/workers={workers}");
+            assert!(report.status.is_success(), "{label}: {report:?}");
+            assert_eq!(report.engine, Some(engine), "{label}");
+            match &reference {
+                None => reference = Some(bytes),
+                Some(r) => assert_eq!(&bytes, r, "{label}: dataset bytes drifted"),
+            }
+        }
+        let reference = reference.expect("at least one service run");
+        let ex = ptsbe_core::TreeExecutor {
+            seed,
+            parallel: false,
+        };
+        let batch = match engine {
+            EngineKind::Tree => ex.execute(
+                &ptsbe_core::SvBackend::<f64>::new_with_fusion(
+                    &nc,
+                    ptsbe_statevector::SamplingStrategy::Auto,
+                    true,
+                )
+                .unwrap(),
+                &nc,
+                &plan,
+            ),
+            _ => ex.execute(
+                &ptsbe_core::MpsBackend::<f64>::new_with_fusion(
+                    &nc,
+                    spec.mps,
+                    Default::default(),
+                    true,
+                )
+                .unwrap(),
+                &nc,
+                &plan,
+            ),
+        };
+        let (header, _) = ptsbe_dataset::jsonl::read(reference.as_slice()).unwrap();
+        let mut direct = Vec::new();
+        ptsbe_dataset::jsonl::write(
+            &mut direct,
+            &header,
+            &ptsbe_dataset::record::records_from_batch(&batch),
+        )
+        .unwrap();
+        assert_eq!(
+            direct, reference,
+            "{engine:?}: the service's chunks must merge to the direct walk"
+        );
+    }
+}
+
 /// 15 qubits: above `PARALLEL_THRESHOLD_QUBITS` and the sampler's
 /// parallel cutoff, so gate sweeps, batch sweeps and sampling all take
 /// their rayon paths. Enough T gates and noise that trajectories differ.
@@ -779,6 +847,50 @@ fn cancellation_terminates_queued_job_and_service_survives() {
     assert_eq!(service.metrics().jobs_cancelled, 1);
 }
 
+/// Cancelling a multi-chunk tree job while its chunks run leaves a sink
+/// that decodes to a valid plan-order prefix of the full dataset. Tree
+/// chunks are gathered before anything is written, so that prefix is
+/// empty here: the header alone.
+#[test]
+fn cancelled_tree_job_leaves_a_plan_order_prefix() {
+    let nc = Arc::new(t_circuit(0.02));
+    let plan = Arc::new(plan_for(&nc, 120, 40, false, 26));
+    let n_chunks = ptsbe_core::PtsPlanTree::from_plan(&plan)
+        .leaf_chunks(&plan)
+        .len();
+    assert!(n_chunks > 2, "the job must split: {n_chunks} chunks");
+    let spec = JobSpec::new("tree-cancel", Arc::clone(&nc), Arc::clone(&plan), 3)
+        .with_engine(EnginePolicy::Force(EngineKind::Tree));
+    let (full, _) = run_jsonl(spec.clone(), 1);
+    let (_, full_records) = ptsbe_dataset::jsonl::read(full.as_slice()).unwrap();
+
+    // Every chunk sleeps 100 ms first, so the cancel lands mid-run.
+    let service: ShotService = ShotService::start(ServiceConfig {
+        workers: 1,
+        faults: Some(ptsbe_service::FaultConfig {
+            chunk_delay: 1.0,
+            delay: std::time::Duration::from_millis(100),
+            ..Default::default()
+        }),
+        ..ServiceConfig::default()
+    });
+    let buf = SharedBuffer::new();
+    let handle = service
+        .submit(spec, Box::new(JsonlSink::new(buf.clone())))
+        .unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(150));
+    handle.cancel();
+    let report = handle.wait();
+    assert_eq!(report.status, JobStatus::Cancelled, "{report:?}");
+    let (_, records) = ptsbe_dataset::jsonl::read(buf.bytes().as_slice()).unwrap();
+    assert!(records.len() < full_records.len());
+    assert_eq!(report.records, records.len() as u64);
+    for (a, b) in records.iter().zip(&full_records) {
+        assert_eq!(a.meta.traj_id, b.meta.traj_id);
+        assert_eq!(a.shots, b.shots);
+    }
+}
+
 #[test]
 fn try_submit_saturates_then_recovers() {
     let service: ShotService = ShotService::start(ServiceConfig {
@@ -921,6 +1033,15 @@ fn invalid_plan_rejected_at_submit() {
             }
         }
     }
+
+    // Every refusal is counted, and none of them was admitted.
+    let refused = 2 + policies.len() + bad_mps.len() * policies.len();
+    let metrics = service.metrics();
+    assert_eq!(metrics.jobs_refused, refused as u64);
+    assert_eq!(metrics.jobs_submitted, 0);
+    assert!(metrics
+        .prometheus()
+        .contains(&format!("ptsbe_jobs_refused {refused}\n")));
 }
 
 #[test]

@@ -477,4 +477,78 @@ proptest! {
             );
         }
     }
+
+    /// Subtree chunks are output-neutral: any partition of the plan
+    /// tree's depth-first leaf order into ranges — cuts inside a group
+    /// of duplicate leaves included — executed range by range and merged
+    /// by plan index is bitwise the whole walk, on the statevector and on
+    /// the MPS backend.
+    #[test]
+    fn leaf_range_partitions_merge_to_the_whole_walk(
+        (n, recipe, p) in circuit_strategy(),
+        cuts in prop::collection::vec(0usize..1000, 0..6),
+    ) {
+        let noisy = build(n, &recipe, p);
+        let mut rng = PhiloxRng::new(953, 0);
+        let plan = ProbabilisticPts { n_samples: 30, shots_per_trajectory: 6, dedup: false }
+            .sample_plan(&noisy, &mut rng);
+        let tree = PtsPlanTree::from_plan(&plan);
+        let leaves = tree.n_trajectories();
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c * leaves / 1000).collect();
+        // Always cut inside the largest duplicate group, if one exists.
+        if let Some(group) = (0..tree.n_nodes())
+            .map(|i| tree.node(i))
+            .filter(|node| node.leaves.len() > 1)
+            .max_by_key(|node| node.leaves.len())
+        {
+            bounds.push(group.span.start + 1);
+        }
+        bounds.extend([0, leaves]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let sv = SvBackend::<f64>::new(&noisy, SamplingStrategy::Auto).unwrap();
+        let mps = MpsBackend::<f64>::new(
+            &noisy,
+            MpsConfig::exact(),
+            MpsSampleMode::Batched,
+        )
+        .unwrap();
+        let ex = TreeExecutor { seed: 21, parallel: false };
+        fn merged<B: ptsbe::core::Backend>(
+            ex: &TreeExecutor,
+            backend: &B,
+            noisy: &NoisyCircuit,
+            plan: &PtsPlan,
+            tree: &PtsPlanTree,
+            bounds: &[usize],
+        ) -> Vec<ptsbe::core::TrajectoryResult> {
+            let pool = StatePool::new();
+            let mut out: Vec<_> = bounds
+                .windows(2)
+                .flat_map(|w| {
+                    ex.execute_tree_range(backend, noisy, plan, tree, &pool, w[0]..w[1])
+                        .trajectories
+                })
+                .collect();
+            out.sort_by_key(|t| t.meta.traj_id);
+            out
+        }
+        let whole_sv = ex.execute(&sv, &noisy, &plan);
+        let whole_mps = ex.execute(&mps, &noisy, &plan);
+        let parts = [
+            (whole_sv, merged(&ex, &sv, &noisy, &plan, &tree, &bounds)),
+            (whole_mps, merged(&ex, &mps, &noisy, &plan, &tree, &bounds)),
+        ];
+        for (whole, parts) in parts {
+            prop_assert_eq!(parts.len(), whole.trajectories.len());
+            for (a, b) in parts.iter().zip(&whole.trajectories) {
+                prop_assert_eq!(a.meta.traj_id, b.meta.traj_id);
+                prop_assert_eq!(&a.shots, &b.shots, "range walk drew different shots");
+                prop_assert_eq!(
+                    a.meta.realized_prob.to_bits(),
+                    b.meta.realized_prob.to_bits()
+                );
+            }
+        }
+    }
 }
